@@ -36,7 +36,6 @@ from .mesh import (
     enumerate_nodes,
     execute_coarsen,
     execute_refine,
-    locate,
 )
 from .fem import (
     GaussField,

@@ -115,16 +115,10 @@ def mark_mms(field: NodalField, crit: MmsCriterion) -> AdaptPlan:
     nchild = 2**mesh.dim
     budget = int(crit.fraction * mesh.n_leaves)
     if budget >= nchild:
-        families = sibling_families(mesh, at_fine)
-        ranked = sorted(
-            (float(eta[start : start + nchild].max()), start) for start, _, _ in families
-        )
-        spent = 0
-        for _, start in ranked:
-            if spent + nchild > budget:
-                break
-            flags[start : start + nchild] = Flag.COARSEN
-            spent += nchild
+        starts = sibling_families(mesh, at_fine)
+        children = starts[:, None] + np.arange(nchild)
+        ranked = np.lexsort((starts, eta[children].max(axis=1)))
+        flags[children[ranked[: budget // nchild]]] = Flag.COARSEN
     return AdaptPlan(Stage.COARSEN_STAGE, flags)
 
 

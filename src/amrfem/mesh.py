@@ -1,16 +1,22 @@
 """Balanced linear quadtree meshes on the unit square (1D line meshes too).
 
 Leaves are stored in Morton (Z) order with integer anchors on the lattice of
-the deepest admissible level. Refinement and coarsening act one level at a
-time; 2:1 edge balance is enforced by promoting extra leaves during
-refinement and by vetoing merges during coarsening. Node enumeration builds
-the continuous-Galerkin numbering for a given degree, including the
-hanging-node constraint table on coarse/fine interfaces.
+the deepest admissible level. All topology rests on one lookup: in a tiling
+sorted by Morton key, the leaf containing a lattice point is the last one
+whose key is not above the point's (the linear-octree search of Sundar,
+Sampath & Biros, SISC 2008), so a whole array of neighbour queries is one
+``searchsorted``. Refinement and coarsening act one level at a time; 2:1
+edge balance is enforced by promoting extra leaves during refinement and by
+vetoing merges during coarsening. Node enumeration builds the
+continuous-Galerkin numbering for a given degree, including the
+hanging-node constraint matrix on coarse/fine interfaces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property, reduce
+from operator import or_
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +38,6 @@ __all__ = [
     "execute_refine",
     "execute_coarsen",
     "enumerate_nodes",
-    "locate",
 ]
 
 MAX_LEVEL = 20
@@ -85,13 +90,28 @@ def _morton_keys(anchors: np.ndarray, dim: int) -> np.ndarray:
     return spread(anchors[:, 0]) | (spread(anchors[:, 1]) << np.uint64(1))
 
 
+def _or_columns(points: np.ndarray) -> np.ndarray:
+    """Bitwise OR of each row's coordinates.
+
+    It is negative, at least a given power of two, or has a given low bit
+    set exactly when one of the coordinates is or has.
+    """
+    return reduce(or_, points.T)
+
+
+def _faces(dim: int) -> list[tuple[int, int]]:
+    """(axis, side) of every leaf face; side 0 = low, 1 = high."""
+    return [(axis, side) for axis in range(dim) for side in (0, 1)]
+
+
 class MeshTopology:
     """Leaves of one adapted mesh, immutable once constructed.
 
-    ``levels`` and ``anchors`` are parallel arrays sorted by Morton key;
-    anchors are integer lattice coordinates at MAX_LEVEL resolution. Node
-    numberings for each polynomial degree are built lazily and cached, as are
-    assembled operators (see fem.py).
+    ``levels`` and ``anchors`` are parallel arrays, normally sorted by Morton
+    key; anchors are integer lattice coordinates at MAX_LEVEL resolution.
+    The Morton keys are sorted once here (through a permutation, so any
+    leaf order works). Node numberings for each polynomial degree are built
+    lazily and cached, as are assembled operators (see fem.py).
     """
 
     def __init__(self, dim: int, levels: np.ndarray, anchors: np.ndarray):
@@ -100,9 +120,12 @@ class MeshTopology:
         self.dim = dim
         self.levels = np.asarray(levels, dtype=np.int32)
         self.anchors = np.asarray(anchors, dtype=np.int64).reshape(len(levels), dim)
-        self._lookup: dict | None = None
+        keys = _morton_keys(self.anchors, dim)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
         self._numberings: dict[int, "NodeNumbering"] = {}
         self._balanced: bool | None = None
+        self.defect: str | None = None
 
     @property
     def n_leaves(self) -> int:
@@ -117,31 +140,23 @@ class MeshTopology:
     def leaf_sizes_physical(self) -> np.ndarray:
         return np.ldexp(1.0, -self.levels)
 
-    def leaf_lookup(self) -> dict:
-        """(level, *anchor) -> leaf index."""
-        if self._lookup is None:
-            if self.dim == 1:
-                self._lookup = {
-                    (int(l), int(a)): i
-                    for i, (l, a) in enumerate(zip(self.levels, self.anchors[:, 0]))
-                }
-            else:
-                self._lookup = {
-                    (int(l), int(ax), int(ay)): i
-                    for i, (l, (ax, ay)) in enumerate(zip(self.levels, self.anchors))
-                }
-        return self._lookup
+    def containing_leaves(self, points: np.ndarray) -> np.ndarray:
+        """Index of the leaf containing each lattice point, -1 outside the domain.
 
-    def _find_containing(self, level: int, anchor: tuple) -> int | None:
-        """Walk up from ``level`` to the root looking for the covering leaf."""
-        lookup = self.leaf_lookup()
-        for lv in range(level, -1, -1):
-            mask = ~((1 << (MAX_LEVEL - lv)) - 1)
-            key = (lv, *(a & mask for a in anchor))
-            idx = lookup.get(key)
-            if idx is not None:
-                return idx
-        return None
+        Valid only on a tiling (see ``is_balanced``): the containing leaf is
+        the one with the largest Morton key not above the point's.
+        """
+        pos = np.searchsorted(self._sorted_keys, _morton_keys(points, self.dim), side="right") - 1
+        bits = _or_columns(points)
+        return np.where((bits >= 0) & (bits < _DOMAIN), self._order[pos], -1)
+
+    @cached_property
+    def _face_neighbours(self) -> np.ndarray:
+        """neighbour_leaves for every face, one row per (axis, side)."""
+        probes = np.repeat(self.anchors[None], 2 * self.dim, axis=0)
+        for row, (axis, side) in enumerate(_faces(self.dim)):
+            probes[row, :, axis] += self.leaf_sizes if side else -self.leaf_sizes
+        return self.containing_leaves(probes.reshape(-1, self.dim)).reshape(2 * self.dim, -1)
 
     def locate(self, point) -> int:
         """Leaf containing ``point``; face ties go to the smaller anchor."""
@@ -157,39 +172,59 @@ class MeshTopology:
             if i == v and i > 0:
                 i -= 1  # tie toward the lexicographically smaller anchor
             lattice.append(min(i, _DOMAIN - 1))
-        idx = self._find_containing(int(self.levels.max()), tuple(lattice))
-        if idx is None:  # pragma: no cover - leaves tile the domain
+        lattice = np.array([lattice], dtype=np.int64)
+        idx = int(self.containing_leaves(lattice)[0])
+        offset = lattice[0] - self.anchors[idx]
+        if np.any(offset < 0) or np.any(offset >= self.leaf_sizes[idx]):
             raise MeshStateError(f"no leaf contains {point}")
         return idx
 
     def is_balanced(self) -> bool:
-        """2:1 edge balance: adjacent leaves differ by at most one level."""
+        """The leaves tile the domain and edge neighbours differ by at most one level.
+
+        When this is False, ``defect`` names the failed invariant and the
+        first offending leaf.
+        """
         if self._balanced is None:
-            self._balanced = self._check_balance()
+            self.defect = self._find_defect()
+            self._balanced = self.defect is None
         return self._balanced
 
-    def _check_balance(self) -> bool:
-        if self.dim == 1:
-            levels, anchors, sizes = self.levels, self.anchors[:, 0], self.leaf_sizes
-            for i in range(self.n_leaves):
-                for na in (int(anchors[i]) - int(sizes[i]), int(anchors[i]) + int(sizes[i])):
-                    if not 0 <= na < _DOMAIN:
-                        continue
-                    j = self._find_containing(int(levels[i]), (na,))
-                    if j is not None and levels[i] - self.levels[j] >= 2:
-                        return False
-            return True
-        for i in range(self.n_leaves):
-            li = int(self.levels[i])
-            h = 1 << (MAX_LEVEL - li)
-            ax, ay = (int(v) for v in self.anchors[i])
-            for na in ((ax - h, ay), (ax + h, ay), (ax, ay - h), (ax, ay + h)):
-                if not (0 <= na[0] < _DOMAIN and 0 <= na[1] < _DOMAIN):
-                    continue
-                j = self._find_containing(li, na)
-                if j is not None and li - self.levels[j] >= 2:
-                    return False
-        return True
+    def _find_defect(self) -> str | None:
+        sizes = self.leaf_sizes
+        misaligned = np.flatnonzero(_or_columns(self.anchors) & (sizes - 1))
+        if misaligned.size:
+            return f"leaf {misaligned[0]} is not aligned to its size"
+        # Each leaf owns the Morton key range [key, key + size^dim).
+        order, keys = self._order, self._sorted_keys
+        ends = keys + (sizes[order] ** self.dim).astype(np.uint64)
+        if keys[0] != 0:
+            return f"leaf {order[0]}, first in Morton order, does not start at the domain origin"
+        step = np.flatnonzero(ends[:-1] != keys[1:])
+        if step.size:
+            k = step[0]
+            kind = "gap" if ends[k] < keys[k + 1] else "overlap"
+            return f"{kind} after leaf {order[k]} in Morton order"
+        if ends[-1] != np.uint64(_DOMAIN**self.dim):
+            return f"leaf {order[-1]}, last in Morton order, does not end at the domain end"
+        too_fine = np.zeros(self.n_leaves, dtype=bool)
+        for axis, side in _faces(self.dim):
+            j = neighbour_leaves(self, axis, side)
+            too_fine |= (j >= 0) & (self.levels - self.levels[j] >= 2)
+        if too_fine.any():
+            return f"leaf {np.flatnonzero(too_fine)[0]} is two levels finer than an edge neighbour"
+        return None
+
+
+def neighbour_leaves(mesh: MeshTopology, axis: int, side: int) -> np.ndarray:
+    """Each leaf's neighbour across one face, -1 on the domain boundary.
+
+    Returns, per leaf, the leaf containing the anchor of the same-size cell
+    across the face normal to ``axis`` (``side`` 0 = low, 1 = high): the
+    neighbour itself when it is as coarse or coarser, else the finer leaf in
+    that cell's anchor corner. All faces are searched at once, on first use.
+    """
+    return mesh._face_neighbours[2 * axis + side]
 
 
 @dataclass
@@ -265,99 +300,65 @@ def execute_refine(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, R
         return mesh, rec
 
     levels = mesh.levels
-    anchors = mesh.anchors
-    sizes = mesh.leaf_sizes
-    dim = mesh.dim
     if np.any(levels[flags] >= MAX_LEVEL):
         raise ValueError("refinement would exceed MAX_LEVEL")
 
     # Balance closure: flagging a leaf can force coarser edge-neighbours to
-    # refine as well. Effective levels are level + flag; iterate to fixpoint.
-    changed = True
-    while changed:
-        changed = False
+    # refine as well. Effective levels are level + flag; sweep every
+    # (leaf, coarser neighbour) pair at once until no flag changes.
+    fine, coarse = [], []
+    for axis, side in _faces(mesh.dim):
+        j = neighbour_leaves(mesh, axis, side)
+        i = np.flatnonzero((j >= 0) & (levels > levels[j]))
+        fine.append(i)
+        coarse.append(j[i])
+    fine, coarse = np.concatenate(fine), np.concatenate(coarse)
+    while True:
         eff = levels + flags
-        for i in range(mesh.n_leaves):
-            li = int(levels[i])
-            h = int(sizes[i])
-            if dim == 1:
-                neighbours = ((int(anchors[i, 0]) - h,), (int(anchors[i, 0]) + h,))
-            else:
-                ax, ay = (int(v) for v in anchors[i])
-                neighbours = ((ax - h, ay), (ax + h, ay), (ax, ay - h), (ax, ay + h))
-            for na in neighbours:
-                if any(not 0 <= v < _DOMAIN for v in na):
-                    continue
-                j = mesh._find_containing(li, na)
-                if j is not None and eff[i] - eff[j] >= 2:
-                    flags[j] = True
-                    changed = True
+        promote = coarse[eff[fine] - eff[coarse] >= 2]
+        if not promote.size:
+            break
+        flags[promote] = True
 
-    n_new = mesh.n_leaves + int(flags.sum()) * (2**dim - 1)
-    new_levels = np.empty(n_new, dtype=np.int32)
-    new_anchors = np.empty((n_new, dim), dtype=np.int64)
-    src = np.empty(n_new, dtype=np.int64)
-    cid = np.empty(n_new, dtype=np.int64)
-    pos = 0
-    for i in range(mesh.n_leaves):
-        if flags[i]:
-            half = int(sizes[i]) >> 1
-            offs = _child_offsets(dim, half)
-            for c in range(2**dim):
-                new_levels[pos] = levels[i] + 1
-                new_anchors[pos] = anchors[i] + offs[c]
-                src[pos] = i
-                cid[pos] = c
-                pos += 1
-        else:
-            new_levels[pos] = levels[i]
-            new_anchors[pos] = anchors[i]
-            src[pos] = i
-            cid[pos] = -1
-            pos += 1
-    new_mesh = MeshTopology(dim, new_levels, new_anchors)
+    nchild = 2**mesh.dim
+    counts = np.where(flags, nchild, 1)
+    src = np.repeat(np.arange(mesh.n_leaves), counts)
+    rank = np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
+    split = flags[src]
+    cid = np.where(split, rank, -1)
+    half = mesh.leaf_sizes[src] >> 1
+    new_anchors = mesh.anchors[src] + _child_offsets(mesh.dim, 1)[rank] * half[:, None]
+    new_mesh = MeshTopology(mesh.dim, levels[src] + split, new_anchors)
     return new_mesh, RefineRecord(mesh, new_mesh, src, cid)
 
 
-def sibling_families(mesh: MeshTopology, eligible: np.ndarray) -> list[tuple[int, int, tuple]]:
-    """Complete sibling sets whose members are all marked eligible.
+def sibling_families(mesh: MeshTopology, eligible: np.ndarray) -> np.ndarray:
+    """First-child indices of complete sibling sets whose members are all eligible.
 
-    Returns (first_child_index, parent_level, parent_anchor) triples; the
-    2^dim siblings of a fully-present family are contiguous in Morton order.
+    The 2^dim siblings of a fully-present family are contiguous in Morton
+    order; the parent is one level up at the first child's anchor.
     """
-    dim = mesh.dim
-    nchild = 2**dim
-    levels = mesh.levels
-    anchors = mesh.anchors
-    families = []
-    i = 0
-    n = mesh.n_leaves
-    while i <= n - nchild:
-        li = int(levels[i])
-        if li == 0 or not eligible[i]:
-            i += 1
-            continue
-        h = 1 << (MAX_LEVEL - li)
-        parent_mask = ~((h << 1) - 1)
-        anchor = tuple(int(a) for a in anchors[i])
-        if any(a & ~parent_mask for a in anchor):
-            i += 1  # not the Morton-first child of its parent
-            continue
-        block_levels = levels[i : i + nchild]
-        if not np.all(block_levels == li):
-            i += 1
-            continue
-        offs = _child_offsets(dim, h)
-        expected = np.asarray(anchor, dtype=np.int64)[None, :] + offs
-        if not np.array_equal(mesh.anchors[i : i + nchild], expected):
-            i += 1
-            continue
-        if not eligible[i : i + nchild].all():
-            i += 1
-            continue
-        families.append((i, li - 1, anchor))
-        i += nchild
-    return families
+    nchild = 2**mesh.dim
+    n = mesh.n_leaves - nchild + 1
+    if n <= 0:
+        return np.empty(0, dtype=np.int64)
+    levels, anchors = mesh.levels, mesh.anchors
+    h = mesh.leaf_sizes[:n]
+    first = (levels[:n] > 0) & (_or_columns(anchors[:n]) & (2 * h - 1) == 0)
+    for c, offset in enumerate(_child_offsets(mesh.dim, 1)):
+        first &= eligible[c : c + n] & (levels[c : c + n] == levels[:n])
+        first &= _or_columns(anchors[c : c + n] - anchors[:n] - offset * h[:, None]) == 0
+    return np.flatnonzero(first)
+
+
+# Probe cells of child size around a parent, in units of the child size:
+# two per face (left, right, bottom, top), one per end in 1D.
+_PROBES = {
+    1: np.array([[-1], [2]], dtype=np.int64),
+    2: np.array(
+        [[-1, 0], [-1, 1], [2, 0], [2, 1], [0, -1], [1, -1], [0, 2], [1, 2]], dtype=np.int64
+    ),
+}
 
 
 def execute_coarsen(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, CoarsenRecord]:
@@ -365,92 +366,52 @@ def execute_coarsen(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, 
 
     Incomplete or mixed-level families are demoted to NO_CHANGE. A candidate
     merge is vetoed when an edge-adjacent region would end up two levels
-    finer than the new parent; vetoes cascade until a fixpoint.
+    finer than the new parent; vetoes cascade until a fixpoint. Returns the
+    original mesh object (with an identity record) when nothing merges.
     """
     if plan.stage is not Stage.COARSEN_STAGE:
         raise ValueError("execute_coarsen needs a COARSEN_STAGE plan")
     if len(plan.flags) != mesh.n_leaves:
         raise ValueError("plan/mesh size mismatch")
     coarsen = plan.flags == Flag.COARSEN
-    families = sibling_families(mesh, coarsen) if coarsen.any() else []
-    if not families:
-        rec = CoarsenRecord(mesh, mesh, np.arange(mesh.n_leaves), [])
-        return mesh, rec
+    starts = sibling_families(mesh, coarsen) if coarsen.any() else np.empty(0, np.int64)
 
+    # A probe cell beside the parent is settled when its containing leaf is
+    # no finer than the children. Otherwise the merge survives only if that
+    # leaf is the first child of a live candidate one level finer, which
+    # merges up to the children's level itself.
     dim = mesh.dim
-    lookup = mesh.leaf_lookup()
-    candidates = {(lv, anchor): start for start, lv, anchor in families}
+    child_level = mesh.levels[starts][:, None]
+    child_size = mesh.leaf_sizes[starts][:, None, None]
+    probes = mesh.anchors[starts][:, None, :] + _PROBES[dim] * child_size
+    j = mesh.containing_leaves(probes.reshape(-1, dim)).reshape(probes.shape[:2])
+    settled = (j < 0) | (mesh.levels[j] <= child_level)
+    pending = ~settled & (mesh.levels[j] == child_level + 1)
+    alive = np.all(settled | pending, axis=1)
+    live_head = np.zeros(mesh.n_leaves, dtype=bool)
+    while True:
+        live_head[:] = False
+        live_head[starts[alive]] = True
+        survivors = alive & np.all(settled | (pending & live_head[j]), axis=1)
+        if np.array_equal(survivors, alive):
+            break
+        alive = survivors
+    starts = starts[alive]
+    if not starts.size:
+        return mesh, CoarsenRecord(mesh, mesh, np.arange(mesh.n_leaves), [])
 
-    def merge_survives(parent_level: int, parent_anchor: tuple) -> bool:
-        """False when a neighbour would stay two levels finer than the parent."""
-        hp = 1 << (MAX_LEVEL - parent_level)
-        hc = hp >> 1
-        if dim == 1:
-            probes = [((parent_anchor[0] - hc,),), ((parent_anchor[0] + hp,),)]
-        else:
-            ax, ay = parent_anchor
-            probes = [
-                tuple((ax - hc, ay + k * hc) for k in range(2)),  # left edge
-                tuple((ax + hp, ay + k * hc) for k in range(2)),  # right edge
-                tuple((ax + k * hc, ay - hc) for k in range(2)),  # bottom edge
-                tuple((ax + k * hc, ay + hp) for k in range(2)),  # top edge
-            ]
-        fine_level = parent_level + 1
-        mask = ~(hc - 1)
-        for edge in probes:
-            for cell in edge:
-                if any(not 0 <= v < _DOMAIN for v in cell):
-                    continue
-                cell = tuple(v & mask for v in cell)
-                if (fine_level, *cell) in lookup:
-                    continue  # neighbour at parent_level+1 survives or merges: fine
-                if mesh._find_containing(parent_level, cell) is not None:
-                    continue  # neighbour is at parent level or coarser
-                # Region is finer than parent_level+1; acceptable only if it
-                # merges up to parent_level+1 itself.
-                if (fine_level, cell) not in candidates:
-                    return False
-        return True
-
-    removed = True
-    while removed:
-        removed = False
-        for key in list(candidates):
-            if not merge_survives(*key):
-                del candidates[key]
-                removed = True
-
-    merging = np.zeros(mesh.n_leaves, dtype=bool)
-    first_child = {}
     nchild = 2**dim
-    for (lv, anchor), start in candidates.items():
-        merging[start : start + nchild] = True
-        first_child[start] = (lv, anchor)
-
-    new_levels = []
-    new_anchors = []
-    copy_source = []
-    merges = []
-    i = 0
-    while i < mesh.n_leaves:
-        if merging[i]:
-            lv, anchor = first_child[i]
-            merges.append((len(new_levels), np.arange(i, i + nchild)))
-            new_levels.append(lv)
-            new_anchors.append(anchor)
-            copy_source.append(-1)
-            i += nchild
-        else:
-            new_levels.append(int(mesh.levels[i]))
-            new_anchors.append(tuple(int(a) for a in mesh.anchors[i]))
-            copy_source.append(i)
-            i += 1
-    new_mesh = MeshTopology(
-        mesh.dim,
-        np.asarray(new_levels, dtype=np.int32),
-        np.asarray(new_anchors, dtype=np.int64).reshape(-1, dim),
-    )
-    rec = CoarsenRecord(mesh, new_mesh, np.asarray(copy_source, dtype=np.int64), merges)
+    merging = np.zeros(mesh.n_leaves, dtype=bool)
+    merging[starts[:, None] + np.arange(nchild)] = True
+    head = np.zeros(mesh.n_leaves, dtype=bool)
+    head[starts] = True
+    kept = np.flatnonzero(~merging | head)  # a merged parent takes its first child's place
+    parent = head[kept]
+    new_mesh = MeshTopology(dim, mesh.levels[kept] - parent, mesh.anchors[kept])
+    merges = [
+        (int(k), np.arange(s, s + nchild)) for k, s in zip(np.flatnonzero(parent), starts)
+    ]
+    rec = CoarsenRecord(mesh, new_mesh, np.where(parent, -1, kept), merges)
     return new_mesh, rec
 
 
@@ -460,16 +421,15 @@ class NodeNumbering:
 
     Node keys are integer lattice coordinates at twice MAX_LEVEL resolution
     (so Q2 edge midpoints are integers), encoded into a single sorted int64
-    per node. Hanging nodes carry no degree of freedom; their values are the
-    stored master/weight combinations. ``constraint_matrix`` maps independent
-    dof values to values at all geometric nodes.
+    per node. Hanging nodes carry no degree of freedom; their values are
+    weighted sums of independent master nodes. ``constraint_matrix`` maps
+    independent dof values to values at all geometric nodes.
     """
 
     p: int
     node_keys: np.ndarray
     node_coords: np.ndarray
     elem_nodes: np.ndarray
-    hanging: dict[int, tuple[tuple[int, ...], tuple[float, ...]]]
     dof_of_node: np.ndarray
     n_dofs: int
     constraint_matrix: sp.csr_matrix
@@ -478,6 +438,17 @@ class NodeNumbering:
     @property
     def n_nodes(self) -> int:
         return len(self.node_keys)
+
+    @cached_property
+    def hanging(self) -> dict[int, tuple[tuple[int, ...], tuple[float, ...]]]:
+        """Hanging node -> (master nodes, weights), read off the constraint matrix."""
+        t = self.constraint_matrix
+        masters = np.flatnonzero(self.dof_of_node >= 0)[t.indices].tolist()
+        weights, ptr = t.data.tolist(), t.indptr.tolist()
+        return {
+            n: (tuple(masters[ptr[n] : ptr[n + 1]]), tuple(weights[ptr[n] : ptr[n + 1]]))
+            for n in np.flatnonzero(self.dof_of_node < 0).tolist()
+        }
 
     def node_values(self, dof_values: np.ndarray) -> np.ndarray:
         """Values at every geometric node, hanging ones constraint-resolved."""
@@ -504,7 +475,7 @@ def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
     if cached is not None:
         return cached
     if not mesh.is_balanced():
-        raise MeshStateError("node enumeration requires a 2:1 balanced mesh")
+        raise MeshStateError(f"node enumeration requires a 2:1 balanced tiling: {mesh.defect}")
 
     dim = mesh.dim
     n_loc = (p + 1) ** dim
@@ -534,130 +505,103 @@ def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
             ]
         )
 
-    hanging = _hanging_constraints(mesh, p, node_keys) if dim == 2 else {}
-
-    dof_of_node = np.full(len(node_keys), -1, dtype=np.int64)
-    independent = np.setdiff1d(
-        np.arange(len(node_keys)), np.fromiter(hanging.keys(), dtype=np.int64, count=len(hanging))
-    )
-    dof_of_node[independent] = np.arange(len(independent))
-
-    rows, cols, vals = [], [], []
-    rows.append(independent)
-    cols.append(dof_of_node[independent])
-    vals.append(np.ones(len(independent)))
-    for node, (masters, weights) in hanging.items():
-        for m, w in zip(masters, weights):
-            rows.append(np.array([node]))
-            cols.append(np.array([dof_of_node[m]]))
-            vals.append(np.array([w]))
-    tmat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(node_keys), len(independent)),
-    )
+    dof_of_node, tmat = _constraint_matrix(mesh, p, node_keys)
     numbering = NodeNumbering(
         p=p,
         node_keys=node_keys,
         node_coords=coords,
         elem_nodes=elem_nodes,
-        hanging=hanging,
         dof_of_node=dof_of_node,
-        n_dofs=len(independent),
+        n_dofs=tmat.shape[1],
         constraint_matrix=tmat,
     )
     mesh._numberings[p] = numbering
     return numbering
 
 
-def _hanging_constraints(mesh: MeshTopology, p: int, node_keys: np.ndarray) -> dict:
-    """Detect hanging nodes on coarse/fine edges and build their constraints.
+def _hanging_constraints(mesh: MeshTopology, p: int, node_keys: np.ndarray):
+    """Hanging nodes on coarse/fine edges: (nodes, master nodes, weights).
 
     A fine leaf's edge node that is not also a node of a coarser edge
     neighbour is constrained to that neighbour's edge nodes with the 1D
-    degree-p interpolation weights at its parametric location.
+    degree-p interpolation weights at its parametric location. Masters may
+    themselves hang; ``_constraint_matrix`` resolves such chains.
     """
-    basis = element_nodal_basis(p)
-    lookup = mesh.leaf_lookup()
-    levels = mesh.levels
-    anchors = mesh.anchors
-    sizes = mesh.leaf_sizes
-    raw: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
-
-    def node_id(kx: int, ky: int) -> int:
-        key = (kx << 32) | ky
-        pos = np.searchsorted(node_keys, key)
-        assert pos < len(node_keys) and node_keys[pos] == key
-        return int(pos)
-
-    for i in range(mesh.n_leaves):
-        li = int(levels[i])
-        if li == 0:
-            continue
-        h = int(sizes[i])
-        ax, ay = (int(v) for v in anchors[i])
-        # (axis, side): axis 0 = x-normal edge, side 0 = low, 1 = high
-        for axis, side in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            if axis == 0:
-                na = (ax - h if side == 0 else ax + h, ay)
-            else:
-                na = (ax, ay - h if side == 0 else ay + h)
-            if not (0 <= na[0] < _DOMAIN and 0 <= na[1] < _DOMAIN):
-                continue
-            if (li, *na) in lookup:
-                continue  # conforming neighbour
-            cmask = ~((h << 1) - 1)
-            coarse_key = (li - 1, na[0] & cmask, na[1] & cmask)
-            j = lookup.get(coarse_key)
-            if j is None:
-                continue  # finer neighbours hang on us, handled from their side
-            hn = 2 * h
-            cax, cay = (int(v) for v in anchors[j])
-            # Shared edge plane in node-lattice units (2x anchor resolution).
-            if axis == 0:
-                plane = 2 * (ax + (h if side == 1 else 0))
-                coarse_lo = 2 * cay
-            else:
-                plane = 2 * (ay + (h if side == 1 else 0))
-                coarse_lo = 2 * cax
-            master_pos = [coarse_lo + k * (2 * hn) // p for k in range(p + 1)]
-            if axis == 0:
-                masters = tuple(node_id(plane, mp) for mp in master_pos)
-            else:
-                masters = tuple(node_id(mp, plane) for mp in master_pos)
-            my_lo = 2 * (ay if axis == 0 else ax)
-            for k in range(p + 1):
-                pos = my_lo + k * (2 * h) // p
-                if pos in master_pos:
-                    continue
-                node = node_id(plane, pos) if axis == 0 else node_id(pos, plane)
-                xi = 2.0 * (pos - coarse_lo) / (2.0 * hn) - 1.0
-                weights = basis.values_at(xi)[:, 0]
-                raw[node] = (masters, tuple(float(w) for w in weights))
-
-    # Fold chained constraints so masters are always independent nodes.
-    resolved: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
-    for node, (masters, weights) in raw.items():
-        acc: dict[int, float] = {}
-        stack = list(zip(masters, weights))
-        depth = 0
-        while stack:
-            m, w = stack.pop()
-            if m in raw:
-                depth += 1
-                if depth > 4 * len(raw) + 8:  # pragma: no cover
-                    raise MeshStateError("cyclic hanging-node constraints")
-                mm, mw = raw[m]
-                stack.extend((a, w * b) for a, b in zip(mm, mw))
-            else:
-                acc[m] = acc.get(m, 0.0) + w
-        items = sorted(acc.items())
-        resolved[node] = (
-            tuple(k for k, _ in items),
-            tuple(v for _, v in items),
+    k = np.arange(p + 1, dtype=np.int64)
+    points, xis = [], []
+    for axis, side in _faces(2):
+        j = neighbour_leaves(mesh, axis, side)
+        fine = np.flatnonzero((j >= 0) & (mesh.levels[j] == mesh.levels - 1))
+        j = j[fine]
+        h = mesh.leaf_sizes[fine]
+        hn = 2 * h
+        # Shared edge plane and positions along it, in node-lattice units
+        # (2x anchor resolution).
+        plane = 2 * (mesh.anchors[fine, axis] + side * h)
+        coarse_lo = 2 * mesh.anchors[j, 1 - axis]
+        master_pos = coarse_lo[:, None] + k * (2 * hn[:, None]) // p
+        my_pos = 2 * mesh.anchors[fine, 1 - axis][:, None] + k * (2 * h[:, None]) // p
+        # Fine edge nodes between the coarse edge's equispaced masters hang.
+        offset = my_pos - coarse_lo[:, None]
+        row, col = np.nonzero(offset % (2 * hn[:, None] // p))
+        pos = my_pos[row, col]
+        # One row per hanging node: the node itself, then its masters.
+        along = np.column_stack([pos, master_pos[row]])
+        across = np.broadcast_to(plane[row, None], along.shape)
+        points.append((across, along) if axis == 0 else (along, across))
+        xis.append(2.0 * offset[row, col] / (2.0 * hn[row]) - 1.0)
+    keys = np.concatenate([_encode_keys(kx, ky) for kx, ky in points])
+    ids = np.minimum(np.searchsorted(node_keys, keys), len(node_keys) - 1)
+    missing = np.flatnonzero(node_keys[ids] != keys)
+    if missing.size:
+        key = keys.flat[missing[0]]
+        raise MeshStateError(
+            f"hanging-node constraint refers to lattice point ({key >> _KEY_SHIFT}, "
+            f"{key & np.int64((1 << 32) - 1)}), which is not a mesh node"
         )
-    return resolved
+    # Two fine leaves sharing a coarse edge give the same constraint twice.
+    nodes, first = np.unique(ids[:, 0], return_index=True)
+    weights = element_nodal_basis(p).values_at(np.concatenate(xis)[first]).T
+    return nodes, ids[first, 1:], weights
 
 
-def locate(mesh: MeshTopology, point) -> int:
-    """Module-level alias for :meth:`MeshTopology.locate`."""
-    return mesh.locate(point)
+def _constraint_matrix(mesh: MeshTopology, p: int, node_keys: np.ndarray):
+    """dof_of_node and T, which maps independent dof values to all node values."""
+    n_nodes = len(node_keys)
+    if mesh.dim == 2:
+        hanging, masters, weights = _hanging_constraints(mesh, p, node_keys)
+    else:  # 1D faces are points: nothing hangs
+        hanging = np.empty(0, np.int64)
+        masters, weights = np.empty((0, p + 1), np.int64), np.empty((0, p + 1))
+    is_hanging = np.zeros(n_nodes, dtype=bool)
+    is_hanging[hanging] = True
+    independent = np.flatnonzero(~is_hanging)
+    dof_of_node = np.full(n_nodes, -1, dtype=np.int64)
+    dof_of_node[independent] = np.arange(len(independent))
+
+    # Node-to-node map: identity on independent nodes, master weights on
+    # hanging ones.
+    rows = np.concatenate([independent, np.repeat(hanging, p + 1)])
+    cols = np.concatenate([independent, masters.ravel()])
+    vals = np.concatenate([np.ones(len(independent)), weights.ravel()])
+    full = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+    full = _resolve_chains(full, is_hanging)
+    full.sort_indices()
+    tmat = sp.csr_matrix(
+        (full.data, dof_of_node[full.indices], full.indptr), shape=(n_nodes, len(independent))
+    )
+    return dof_of_node, tmat
+
+
+def _resolve_chains(full: sp.csr_matrix, is_hanging: np.ndarray) -> sp.csr_matrix:
+    """Node-to-node map whose masters are all independent nodes.
+
+    Squaring the map substitutes each hanging master by its own
+    constraint, so a chain of depth d resolves in log2(d) + 1 rounds; a map
+    still pointing at hanging nodes after that holds a cycle.
+    """
+    for _ in range(int(is_hanging.sum()).bit_length() + 1):
+        if not is_hanging[full.indices].any():
+            return full
+        full = full @ full
+    raise MeshStateError("cyclic hanging-node constraints")

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+import topology_reference as reference
 from amrfem.errors import MeshStateError
 from amrfem.mesh import (
     MAX_LEVEL,
     AdaptPlan,
     Flag,
+    MeshTopology,
     Stage,
     build_uniform,
     enumerate_nodes,
     execute_coarsen,
     execute_refine,
+    sibling_families,
 )
 
 
@@ -227,6 +231,23 @@ class TestExecuteCoarsen:
         assert mesh4.is_balanced()
         assert brute_force_balanced(mesh4)
 
+    def test_all_families_vetoed_returns_same_mesh(self):
+        # two level-3 families side by side, then one child of the right-hand
+        # family refined again: merging the left family would put its parent
+        # (level 2) next to level-4 leaves, so its only candidate is vetoed
+        mesh = build_uniform(2, 2)
+        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0, 1]))
+        mesh3, _ = execute_refine(mesh2, refine_plan(mesh2, [mesh2.locate((0.26, 0.01))]))
+        assert brute_force_balanced(mesh3)
+        corners = ((0.01, 0.01), (0.2, 0.01), (0.01, 0.2), (0.2, 0.2))
+        left = [mesh3.locate(point) for point in corners]
+        plan = coarsen_plan(mesh3, left)
+        assert len(sibling_families(mesh3, plan.flags == Flag.COARSEN)) == 1
+        mesh4, record = execute_coarsen(mesh3, plan)
+        assert mesh4 is mesh3
+        assert not record.merges
+        assert np.array_equal(record.copy_source, np.arange(mesh3.n_leaves))
+
     def test_wrong_stage_rejected(self):
         mesh = build_uniform(2, 2)
         with pytest.raises(ValueError):
@@ -324,6 +345,48 @@ class TestEnumerateNodes:
         with pytest.raises(MeshStateError):
             enumerate_nodes(mesh, 1)
 
+    def test_mesh_with_gap_rejected(self):
+        mesh = build_uniform(2, 2)
+        keep = np.arange(mesh.n_leaves) != 5
+        holed = MeshTopology(2, mesh.levels[keep], mesh.anchors[keep])
+        assert not holed.is_balanced()
+        with pytest.raises(MeshStateError, match="gap after leaf 4"):
+            enumerate_nodes(holed, 1)
+
+    def test_overlapping_leaves_rejected(self):
+        # a level-3 leaf inside leaf 0: levels differ by one, so only the
+        # tiling check can catch it
+        mesh = build_uniform(2, 2)
+        levels = np.append(mesh.levels, 3)
+        anchors = np.vstack([mesh.anchors, mesh.anchors[:1]])
+        doubled = MeshTopology(2, levels, anchors)
+        assert not doubled.is_balanced()
+        with pytest.raises(MeshStateError, match="overlap after leaf 0"):
+            enumerate_nodes(doubled, 1)
+
+    def test_constraint_to_missing_node_raises(self):
+        from amrfem.mesh import _hanging_constraints
+
+        mesh = build_uniform(2, 2)
+        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0]))
+        nn = enumerate_nodes(mesh2, 1)
+        master = next(iter(nn.hanging.values()))[0][0]
+        with pytest.raises(MeshStateError, match="not a mesh node"):
+            _hanging_constraints(mesh2, 1, np.delete(nn.node_keys, master))
+
+    def test_chained_constraints_resolve_and_cycles_raise(self):
+        # node 0 hangs on 1 and 3, node 1 on 2 and 3; nodes 2 and 3 are free
+        from amrfem.mesh import _resolve_chains
+
+        is_hanging = np.array([True, True, False, False])
+        rows, cols = [0, 0, 1, 1, 2, 3], [1, 3, 2, 3, 2, 3]
+        vals = [0.5, 0.5, 0.25, 0.75, 1.0, 1.0]
+        full = _resolve_chains(sp.csr_matrix((vals, (rows, cols)), shape=(4, 4)), is_hanging)
+        assert full.toarray()[:2].tolist() == [[0, 0, 0.125, 0.875], [0, 0, 0.25, 0.75]]
+        cycle = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 1, 2], [1, 0, 2])), shape=(3, 3))
+        with pytest.raises(MeshStateError, match="cyclic"):
+            _resolve_chains(cycle, np.array([True, True, False]))
+
     def test_1d_mesh_has_no_hanging(self):
         mesh = build_uniform(1, 4)
         nn = enumerate_nodes(mesh, 2)
@@ -345,3 +408,64 @@ class TestRepeatedCycles:
             assert leaf_area_sum(mesh) == pytest.approx(1.0, abs=1e-13)
             assert mesh.is_balanced()
             assert brute_force_balanced(mesh)
+
+
+def _random_plan(rng, mesh, max_level):
+    """A refine plan biased toward the finest leaves, or a scattered coarsen plan."""
+    flags = np.zeros(mesh.n_leaves, np.int8)
+    if rng.random() < 0.6:
+        open_ = np.flatnonzero(mesh.levels < max_level)
+        if open_.size:
+            finest = open_[mesh.levels[open_] == mesh.levels[open_].max()]
+            pool = finest if rng.random() < 0.6 else open_
+            size = min(len(pool), int(rng.integers(1, 4)))
+            flags[rng.choice(pool, size=size, replace=False)] = Flag.REFINE
+        return AdaptPlan(Stage.REFINE_STAGE, flags)
+    flags[rng.random(mesh.n_leaves) < rng.uniform(0.3, 1.0)] = Flag.COARSEN
+    return AdaptPlan(Stage.COARSEN_STAGE, flags)
+
+
+def _assert_numbering_matches(mesh):
+    for p in (1, 2):
+        nn = enumerate_nodes(mesh, p)
+        hanging = reference.hanging_constraints(mesh, p, nn.node_keys)
+        assert nn.hanging == hanging
+        t, t_ref = nn.constraint_matrix, reference.constraint_matrix(nn.n_nodes, hanging)
+        assert t.shape == t_ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(t, attr), getattr(t_ref, attr))
+
+
+class TestAgainstLoopReference:
+    """The vectorised topology reproduces the per-leaf loop oracle exactly."""
+
+    @pytest.mark.parametrize("dim, sequences", [(2, 28), (1, 12)])
+    def test_random_sequences(self, dim, sequences):
+        rng = np.random.default_rng(77 + dim)
+        for _ in range(sequences):
+            mesh = build_uniform(dim, int(rng.integers(1, 3)))
+            for _ in range(10):
+                plan = _random_plan(rng, mesh, max_level=9)
+                if plan.stage is Stage.REFINE_STAGE:
+                    new, record = execute_refine(mesh, plan)
+                    levels, anchors, src, cid = reference.refine(mesh, plan.flags)
+                    assert np.array_equal(record.source_leaf, src)
+                    assert np.array_equal(record.child_id, cid)
+                    # splitting without the closure may break 2:1 balance
+                    raw = MeshTopology(dim, *reference.split(mesh, plan.flags == Flag.REFINE)[:2])
+                    assert raw.is_balanced() == reference.is_balanced(raw)
+                else:
+                    new, record = execute_coarsen(mesh, plan)
+                    levels, anchors, copy_source, merges = reference.coarsen(mesh, plan.flags)
+                    assert np.array_equal(record.copy_source, copy_source)
+                    assert len(record.merges) == len(merges)
+                    for (k, children), (k_ref, children_ref) in zip(record.merges, merges):
+                        assert k == k_ref and np.array_equal(children, children_ref)
+                    if not merges:
+                        assert new is mesh
+                assert np.array_equal(new.levels, levels)
+                assert np.array_equal(new.anchors, anchors)
+                assert new.is_balanced() == reference.is_balanced(new)
+                mesh = new
+                _assert_numbering_matches(mesh)
+            assert mesh.levels.max() <= 9
