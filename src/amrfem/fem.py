@@ -213,8 +213,7 @@ def _gauss_rhs(gf: GaussField) -> np.ndarray:
     b, _, w, _, _, _ = _tables(gf.mesh.dim, gf.p, gf.n_q)
     jac = (0.5 * gf.mesh.leaf_sizes_physical) ** gf.mesh.dim
     contrib = (gf.values * w[None, :]) @ b.T * jac[:, None]
-    rhs = np.zeros(nn.n_nodes)
-    np.add.at(rhs, nn.elem_nodes, contrib)
+    rhs = np.bincount(nn.elem_nodes.ravel(), weights=contrib.ravel(), minlength=nn.n_nodes)
     return nn.constraint_matrix.T @ rhs
 
 

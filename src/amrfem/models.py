@@ -23,7 +23,6 @@ from .fem import (
     eval_at_gauss,
     eval_grad_at_gauss,
     enumerate_nodes,
-    solve_newton,
     solve_spd,
 )
 from .mesh import MeshTopology
@@ -205,8 +204,7 @@ def _nonlinear_rhs(
     gauss = node_vals[nn.elem_nodes] @ b
     jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
     contrib = (fe.df(gauss) * w[None, :]) @ b.T * jac[:, None]
-    out = np.zeros(nn.n_nodes)
-    np.add.at(out, nn.elem_nodes, contrib)
+    out = np.bincount(nn.elem_nodes.ravel(), weights=contrib.ravel(), minlength=nn.n_nodes)
     return nn.constraint_matrix.T @ out
 
 
@@ -229,12 +227,6 @@ def _nonlinear_jacobian(
     return (t.T @ (mat @ t)).tocsr()
 
 
-def _ch_operators(mesh: MeshTopology, p: int, n_q: int | None = None):
-    mass = assemble_mass(mesh, p, n_q)
-    stiff = assemble_stiffness(mesh, p, n_q)
-    return mass, stiff
-
-
 def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, dt: float):
     """Residual/Jacobian closures of the backward-Euler split system.
 
@@ -243,7 +235,8 @@ def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilli
     """
     mesh, p = phi.mesh, phi.p
     fe = problem.free_energy
-    mass, stiff = _ch_operators(mesh, p, problem.n_q)
+    mass = assemble_mass(mesh, p, problem.n_q)
+    stiff = assemble_stiffness(mesh, p, problem.n_q)
     n = len(phi.values)
     mob_stiff = (problem.mobility * stiff).tocsr()
     eps_stiff = (problem.eps2 * stiff).tocsr()
@@ -272,6 +265,22 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
     Newton with a frozen factorisation: the Jacobian is factorised at the
     start of the step and reused across iterations (the state moves little
     per step), refactorising at the current iterate if contraction stalls.
+
+    The LU keeps SuperLU's symmetric MMD ordering of J + J' and takes no row
+    pivots (``diag_pivot_thresh=0``): threshold pivoting swaps rows away from
+    that ordering and more than doubles the fill. Every update is checked
+    against the true residual, so a poor factor can cost iterations or raise
+    NewtonError but cannot give a wrong answer. The factor exists with
+    bounded growth when, with D = diag(I, (mobility/eps2) I), the symmetric
+    part of D J,
+    [[M/dt, -(mobility/2 eps2) J_f], [-(mobility/2 eps2) J_f, (mobility/eps2) M]]
+    (the K cross terms cancel), is SPD, which holds when
+    mobility * dt * max|f''|^2 < 4 eps2: then every symmetric permutation of
+    J has an LU without pivoting. The polynomial double well meets this at
+    the desk dt, eps2 and mobility. Flory-Huggins near its pure phases does
+    not, since f'' grows there; on its desk run the pivot-free factor still
+    gave the same meshes and Newton iterations as partial pivoting. A zero
+    pivot raises NewtonError with the mesh size and dt.
     """
     mesh, p = phi.mesh, phi.p
     residual, jacobian = ch_residual_and_jacobian(phi, mu, problem, dt)
@@ -283,27 +292,38 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
     r0 = max(1.0, float(np.linalg.norm(r)))
     trace = [float(np.linalg.norm(r))]
     lu = nn.cache.get(lu_key)
-    if lu is None:
-        lu = spla.splu(jacobian(u))
-        nn.cache[lu_key] = lu
-    for _ in range(problem.newton_max_iter):
+    refactor = lu is None
+    while True:
+        if refactor:
+            jac = jacobian(u)
+            try:
+                lu = spla.splu(
+                    jac,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as exc:
+                raise NewtonError(
+                    f"Jacobian factorisation failed ({exc}) on {mesh.n_leaves} leaves, "
+                    f"{n} dofs, dt={dt:g}",
+                    trace,
+                ) from exc
+            nn.cache[lu_key] = lu
         if trace[-1] <= problem.newton_tol * r0:
             return NodalField(mesh, p, u[:n]), NodalField(mesh, p, u[n:]), trace
+        if len(trace) > problem.newton_max_iter:
+            raise NewtonError(
+                f"no convergence in {problem.newton_max_iter} iterations "
+                f"(residuals {trace[0]:.3e} -> {trace[-1]:.3e})",
+                trace,
+            )
         u = u + lu.solve(-r)
         r = residual(u)
         trace.append(float(np.linalg.norm(r)))
         if not np.isfinite(trace[-1]):
             raise NewtonError("residual is not finite", trace)
-        if trace[-1] > 0.5 * trace[-2]:  # frozen Jacobian no longer contracting
-            lu = spla.splu(jacobian(u))
-            nn.cache[lu_key] = lu
-    if trace[-1] <= problem.newton_tol * r0:
-        return NodalField(mesh, p, u[:n]), NodalField(mesh, p, u[n:]), trace
-    raise NewtonError(
-        f"no convergence in {problem.newton_max_iter} iterations "
-        f"(residuals {trace[0]:.3e} -> {trace[-1]:.3e})",
-        trace,
-    )
+        refactor = trace[-1] > 0.5 * trace[-2]  # frozen Jacobian no longer contracting
 
 
 def ch_step(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem):
@@ -325,7 +345,8 @@ def ch_step(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem):
 def chemical_potential_init(phi: NodalField, problem: CahnHilliardProblem) -> NodalField:
     """Consistent initial mu: solve M mu = F(phi) + eps2 K phi."""
     mesh, p = phi.mesh, phi.p
-    mass, stiff = _ch_operators(mesh, p, problem.n_q)
+    mass = assemble_mass(mesh, p, problem.n_q)
+    stiff = assemble_stiffness(mesh, p, problem.n_q)
     rhs = _nonlinear_rhs(
         mesh, p, phi.values, problem.free_energy, problem.n_q
     ) + problem.eps2 * (stiff @ phi.values)

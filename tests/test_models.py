@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from amrfem import models
+from amrfem.errors import NewtonError
 from amrfem.fem import (
     NodalField,
     eval_at_gauss,
     integrate_gauss,
     interpolate_nodal,
 )
-from amrfem.mesh import build_uniform, enumerate_nodes
+from amrfem.mesh import AdaptPlan, Flag, Stage, build_uniform, enumerate_nodes, execute_refine
 from amrfem.models import (
     CahnHilliardProblem,
     Diagnostics,
@@ -183,6 +186,77 @@ class TestChStep:
             jv = jac @ v
             denom = max(np.linalg.norm(jv), 1.0)
             assert np.linalg.norm(jv - fd) / denom <= 1e-5
+
+    def test_factor_keeps_symmetric_ordering_and_cuts_fill(self, monkeypatch):
+        mesh = build_uniform(2, 6)
+        flags = np.zeros(mesh.n_leaves, np.int8)
+        flags[[5, 40, 41, 100, 170, 2000]] = Flag.REFINE
+        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+        nn = enumerate_nodes(mesh, 1)
+        assert nn.n_nodes > nn.n_dofs  # hanging nodes
+        prob = CahnHilliardProblem(dt=5e-4, mass_tol=1e-13)
+        phi = random_mixture_ic(mesh, 1, 0.0, 0.1, 3)
+        mu = chemical_potential_init(phi, prob)
+        factored = []
+
+        class RecordingLinalg:
+            def splu(self, a, **kwargs):
+                factored.append(a)
+                return spla.splu(a, **kwargs)
+
+        monkeypatch.setattr(models, "spla", RecordingLinalg())
+        ch_step(phi, mu, prob)
+        lu = nn.cache[("ch_lu", prob.dt, prob.mobility, prob.eps2, prob.n_q)]
+        jac = factored[-1]
+        pivoted = spla.splu(jac)
+        assert np.array_equal(lu.perm_r, lu.perm_c)  # no off-diagonal pivot
+        assert lu.nnz <= 0.6 * pivoted.nnz
+        rhs = np.random.default_rng(5).standard_normal(jac.shape[0])
+        ref = pivoted.solve(rhs)
+        assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "fe, phi0, amplitude, spd",
+        [(PolynomialFreeEnergy(), 0.0, 0.9, True), (FloryHugginsFreeEnergy(), 0.5, 0.48, False)],
+        ids=["polynomial", "flory_huggins"],
+    )
+    def test_scaled_jacobian_symmetric_part(self, fe, phi0, amplitude, spd):
+        # with D = diag(I, mobility/eps2 I), D J has symmetric part
+        # [[M/dt, -c J_f], [-c J_f, 2c M]], c = mobility/(2 eps2). It is SPD,
+        # so the LU needs no pivots, while mobility dt max|f''|^2 < 4 eps2:
+        # true for the desk polynomial run, false for Flory-Huggins near its
+        # pure phases
+        prob = CahnHilliardProblem(free_energy=fe, dt=5e-4, eps2=1e-3, mobility=1.0)
+        mesh = build_uniform(2, 3)
+        phi = random_mixture_ic(mesh, 1, phi0, amplitude, 3)
+        mu = chemical_potential_init(phi, prob)
+        _, jacobian = ch_residual_and_jacobian(phi, mu, prob, prob.dt)
+        jac = jacobian(np.concatenate([phi.values, mu.values])).toarray()
+        n = len(phi.values)
+        scaled = np.concatenate([np.ones(n), np.full(n, prob.mobility / prob.eps2)])[:, None] * jac
+        min_eig = np.linalg.eigvalsh(0.5 * (scaled + scaled.T)).min()
+        bound = prob.mobility * prob.dt * np.abs(fe.d2f(phi.values)).max() ** 2 / (4 * prob.eps2)
+        assert (bound < 1) == spd
+        assert (min_eig > 0) == spd
+
+    def test_factor_failure_raises_newton_error_after_retry(self, monkeypatch):
+        calls = []
+
+        class SingularLinalg:
+            def splu(self, a, **kwargs):
+                calls.append(a.shape)
+                raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(models, "spla", SingularLinalg())
+        prob = CahnHilliardProblem(dt=5e-4)
+        mesh = build_uniform(2, 3)
+        phi = random_mixture_ic(mesh, 1, 0.0, 0.1, 3)
+        mu = chemical_potential_init(phi, prob)
+        with pytest.raises(NewtonError, match=r"64 leaves, 81 dofs, dt=0.00025") as info:
+            ch_step(phi, mu, prob)
+        assert len(calls) == 2  # the full step, then the first half step
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert len(info.value.trace) == 1 and info.value.trace[0] > 0
 
     def test_energy_decay_over_a_few_steps(self):
         prob = CahnHilliardProblem(dt=5e-4, mass_tol=1e-13)
