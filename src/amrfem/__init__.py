@@ -53,7 +53,6 @@ from .fem import (
 )
 from .transfer import (
     TransferMode,
-    energy_mismatch,
     restrict_gauss_field,
     transfer_coarsen_conservative,
     transfer_coarsen_injection,

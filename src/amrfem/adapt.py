@@ -105,13 +105,15 @@ def mark_mms(field: NodalField, crit: MmsCriterion) -> AdaptPlan:
     10% of all leaves are spent. Flagging whole families is what guarantees
     the rule actually produces merges each cycle (stray single-leaf flags
     would be demoted at execution time); ties break by Morton position.
+    A mesh with no leaf at level l gets the empty plan without computing eta.
     """
     mesh = field.mesh
-    eta = element_gradient_norms(field)
     at_fine = mesh.levels == crit.fine_level
-    flags = np.where(at_fine & (eta < crit.tau), Flag.COARSEN, Flag.NO_CHANGE).astype(
-        np.int8
-    )
+    flags = np.full(mesh.n_leaves, Flag.NO_CHANGE, dtype=np.int8)
+    if not at_fine.any():
+        return AdaptPlan(Stage.COARSEN_STAGE, flags)
+    eta = element_gradient_norms(field)
+    flags[at_fine & (eta < crit.tau)] = Flag.COARSEN
     nchild = 2**mesh.dim
     budget = int(crit.fraction * mesh.n_leaves)
     if budget >= nchild:

@@ -113,60 +113,43 @@ def _tables(dim: int, p: int, n_q: int):
     return b, grads, w, mass_ref, stiff_ref, rule
 
 
-def _node_operators(mesh: MeshTopology, p: int, n_q: int):
-    """Unconstrained mass/stiffness over all geometric nodes (cached)."""
-    nn = enumerate_nodes(mesh, p)
-    key = ("node_ops", n_q)
-    ops = nn.cache.get(key)
-    if ops is not None:
-        return ops
-    _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, p, n_q)
-    dim = mesh.dim
+def _node_operator(mesh: MeshTopology, nn: NodeNumbering, n_q: int, kind: str) -> sp.csr_matrix:
+    """Unconstrained mass or stiffness matrix over all geometric nodes."""
+    _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, nn.p, n_q)
     h = mesh.leaf_sizes_physical
-    mass_scale = (0.5 * h) ** dim
-    # gradient factor (2/h)^2 times the volume Jacobian
-    stiff_scale = (0.5 * h) ** dim * (2.0 / h) ** 2
-
-    n_loc = mass_ref.shape[0]
+    scale = (0.5 * h) ** mesh.dim
+    if kind == "mass":
+        ref = mass_ref
+    else:  # gradient factor (2/h)^2 times the volume Jacobian
+        scale, ref = scale * (2.0 / h) ** 2, stiff_ref
+    n_loc = ref.shape[0]
     rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
     cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
-    n_nodes = nn.n_nodes
-    mass_data = (mass_scale[:, None, None] * mass_ref[None, :, :]).ravel()
-    stiff_data = (stiff_scale[:, None, None] * stiff_ref[None, :, :]).ravel()
-    mass_u = sp.coo_matrix((mass_data, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    stiff_u = sp.coo_matrix((stiff_data, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    ops = (mass_u, stiff_u)
-    nn.cache[key] = ops
-    return ops
+    data = (scale[:, None, None] * ref[None, :, :]).ravel()
+    return sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
 
 
-def _constrain(nn: NodeNumbering, a_nodes: sp.csr_matrix) -> sp.csr_matrix:
-    t = nn.constraint_matrix
-    return (t.T @ (a_nodes @ t)).tocsr()
+def _assembled(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr_matrix:
+    """Constrained global operator T' A T of one kind, cached on the numbering."""
+    n_q = p + 1 if n_q is None else n_q
+    nn = enumerate_nodes(mesh, p)
+    key = (f"{kind}_c", n_q)
+    mat = nn.cache.get(key)
+    if mat is None:
+        t = nn.constraint_matrix
+        mat = (t.T @ (_node_operator(mesh, nn, n_q, kind) @ t)).tocsr()
+        nn.cache[key] = mat
+    return mat
 
 
 def assemble_mass(mesh: MeshTopology, p: int, n_q: int | None = None) -> sp.csr_matrix:
     """Constrained global mass matrix, SPD on the independent dofs."""
-    n_q = p + 1 if n_q is None else n_q
-    nn = enumerate_nodes(mesh, p)
-    key = ("mass_c", n_q)
-    mat = nn.cache.get(key)
-    if mat is None:
-        mat = _constrain(nn, _node_operators(mesh, p, n_q)[0])
-        nn.cache[key] = mat
-    return mat
+    return _assembled(mesh, p, n_q, "mass")
 
 
 def assemble_stiffness(mesh: MeshTopology, p: int, n_q: int | None = None) -> sp.csr_matrix:
     """Constrained global stiffness matrix (pure Neumann: singular)."""
-    n_q = p + 1 if n_q is None else n_q
-    nn = enumerate_nodes(mesh, p)
-    key = ("stiff_c", n_q)
-    mat = nn.cache.get(key)
-    if mat is None:
-        mat = _constrain(nn, _node_operators(mesh, p, n_q)[1])
-        nn.cache[key] = mat
-    return mat
+    return _assembled(mesh, p, n_q, "stiff")
 
 
 def eval_at_gauss(field: NodalField, n_q: int | None = None) -> GaussField:

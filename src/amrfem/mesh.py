@@ -450,6 +450,37 @@ class NodeNumbering:
             for n in np.flatnonzero(self.dof_of_node < 0).tolist()
         }
 
+    @cached_property
+    def dissection_order(self) -> np.ndarray:
+        """Independent dofs in geometric nested-dissection order.
+
+        Dyadic boxes of the node lattice are bisected at their midlines,
+        axes alternating with x first; a box lists the nodes of its two
+        halves, then the nodes on its midline (A. George, SIAM J. Numer.
+        Anal. 1973). Nodes on no midline (domain corners) count as the
+        finest boxes. This post-order of the box tree is one stable sort of
+        an int64 key: the Morton path of the box whose midline holds the
+        node, padded with ones, then the number of bisections below that
+        box, so a box sorts after every box inside it.
+        """
+        keys = self.node_keys[self.dof_of_node >= 0]
+        dim = self.node_coords.shape[1]
+        extent = 2 * _DOMAIN  # node lattice points run over [0, extent]
+        bits = MAX_LEVEL + 1  # one bisection per bit of a coordinate
+        coords = [keys] if dim == 1 else [keys >> _KEY_SHIFT, keys & np.int64((1 << 32) - 1)]
+        # c = odd * 2^t lies on an axis midline at depth dim * (bits - 1 - t) + axis.
+        depth = np.full(len(keys), dim * bits)
+        for axis, c in enumerate(coords):
+            t = np.frexp((c & -c).astype(float))[1] - 1
+            inside = (c > 0) & (c < extent)
+            depth = np.minimum(depth, np.where(inside, dim * (bits - 1 - t) + axis, dim * bits))
+        # x is the more significant bit of each pair, so it splits first.
+        lattice = np.column_stack([np.minimum(c, extent - 1) for c in reversed(coords)])
+        path = _morton_keys(lattice, dim).astype(np.int64)
+        short = dim * bits - depth
+        padded = path | ((np.int64(1) << short) - 1)
+        return np.argsort((padded << 6) | short, kind="stable")
+
     def node_values(self, dof_values: np.ndarray) -> np.ndarray:
         """Values at every geometric node, hanging ones constraint-resolved."""
         return self.constraint_matrix @ dof_values

@@ -253,7 +253,7 @@ def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilli
         phi_v = u[:n]
         jf = _nonlinear_jacobian(mesh, p, phi_v, fe, problem.n_q)
         return sp.bmat(
-            [[mass_over_dt, mob_stiff], [-(jf + eps_stiff), mass]], format="csc"
+            [[mass_over_dt, mob_stiff], [-(jf + eps_stiff), mass]], format="csr"
         )
 
     return residual, jacobian
@@ -266,13 +266,18 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
     start of the step and reused across iterations (the state moves little
     per step), refactorising at the current iterate if contraction stalls.
 
-    The LU keeps SuperLU's symmetric MMD ordering of J + J' and takes no row
-    pivots (``diag_pivot_thresh=0``): threshold pivoting swaps rows away from
-    that ordering and more than doubles the fill. Every update is checked
-    against the true residual, so a poor factor can cost iterations or raise
-    NewtonError but cannot give a wrong answer. The factor exists with
-    bounded growth when, with D = diag(I, (mobility/eps2) I), the symmetric
-    part of D J,
+    SuperLU factorises the Jacobian symmetrically permuted into the mesh's
+    nested-dissection order of the dofs (``NodeNumbering.dissection_order``),
+    with phi_i and mu_i adjacent, and keeps that order (``NATURAL``): the
+    quadtree's midlines are the separators, so SuperLU computes no ordering
+    of its own and the fill is below that of its minimum-degree order. Each
+    solve is scattered back to the [phi; mu] layout. The LU takes no row
+    pivots (``diag_pivot_thresh=0``): threshold pivoting swaps rows away
+    from the symmetric order and more than doubles the fill. Every update
+    is checked against the true residual, so a poor factor can cost
+    iterations or raise NewtonError but cannot give a wrong answer. The
+    factor exists with bounded growth when, with
+    D = diag(I, (mobility/eps2) I), the symmetric part of D J,
     [[M/dt, -(mobility/2 eps2) J_f], [-(mobility/2 eps2) J_f, (mobility/eps2) M]]
     (the K cross terms cancel), is SPD, which holds when
     mobility * dt * max|f''|^2 < 4 eps2: then every symmetric permutation of
@@ -286,6 +291,11 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
     residual, jacobian = ch_residual_and_jacobian(phi, mu, problem, dt)
     n = len(phi.values)
     nn = enumerate_nodes(mesh, p)
+    perm = np.empty(2 * n, dtype=np.int64)  # factor row and column i is unknown perm[i]
+    perm[0::2] = nn.dissection_order
+    perm[1::2] = perm[0::2] + n
+    slot = np.empty_like(perm)
+    slot[perm] = np.arange(2 * n)
     lu_key = ("ch_lu", dt, problem.mobility, problem.eps2, problem.n_q)
     u = np.concatenate([phi.values, mu.values])
     r = residual(u)
@@ -295,11 +305,14 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
     refactor = lu is None
     while True:
         if refactor:
-            jac = jacobian(u)
+            # Take the rows in factor order and relabel the columns: the
+            # conversion to CSC then yields sorted columns without a sort.
+            jac = jacobian(u)[perm]
+            jac = sp.csr_matrix((jac.data, slot[jac.indices], jac.indptr), shape=jac.shape).tocsc()
             try:
                 lu = spla.splu(
                     jac,
-                    permc_spec="MMD_AT_PLUS_A",
+                    permc_spec="NATURAL",
                     diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True),
                 )
@@ -318,7 +331,7 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
                 f"(residuals {trace[0]:.3e} -> {trace[-1]:.3e})",
                 trace,
             )
-        u = u + lu.solve(-r)
+        u = u - np.take(lu.solve(np.take(r, perm)), slot)
         r = residual(u)
         trace.append(float(np.linalg.norm(r)))
         if not np.isfinite(trace[-1]):

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (
-    element_nodal_basis,
-    gauss_legendre,
-    quad_point_basis,
-    tensor_index_map,
-)
+from .quadrature import element_nodal_basis, gauss_legendre, quad_point_basis
 
 __all__ = [
     "RestrictionOperator",
@@ -25,7 +20,6 @@ __all__ = [
     "build_restriction_general",
     "restriction_operator",
     "apply_restriction",
-    "apply_restriction_reference",
 ]
 
 
@@ -175,33 +169,3 @@ def apply_restriction(op: RestrictionOperator, dim: int, fine_values) -> np.ndar
             m, nc**3
         )
     return out[0] if single else out
-
-
-def apply_restriction_reference(
-    op: RestrictionOperator, dim: int, fine_values
-) -> np.ndarray:
-    """Plain-loop restriction, accumulating one child at a time.
-
-    Kept as an independent cross-check for the vectorised path; it follows
-    the per-child accumulation with explicit index decoding.
-    """
-    fine = np.asarray(fine_values, dtype=float)
-    if fine.shape != (op.fine_block_size(dim),):
-        raise ValueError("reference path takes a single fine block")
-    nf, nc = op.n_fine, op.n_coarse
-    n_ip_f, n_ip_c = nf**dim, nc**dim
-    out = np.zeros(n_ip_c)
-    for child in range(2**dim):
-        cbits = decode_morton(child, dim)
-        g = fine[child * n_ip_f : (child + 1) * n_ip_f]
-        for c_itg in range(n_ip_c):
-            coarse_idx = tensor_index_map(c_itg, dim, nc)
-            acc = 0.0
-            for f_itg in range(n_ip_f):
-                fine_idx = tensor_index_map(f_itg, dim, nf)
-                w = 1.0
-                for d in range(dim):
-                    w *= op.matrix[coarse_idx[d], cbits[d] * nf + fine_idx[d]]
-                acc += w * g[f_itg]
-            out[c_itg] += acc
-    return out

@@ -24,7 +24,6 @@ __all__ = [
     "transfer_coarsen_injection",
     "transfer_coarsen_conservative",
     "restrict_gauss_field",
-    "energy_mismatch",
 ]
 
 
@@ -132,8 +131,3 @@ def transfer_coarsen_conservative(
     gf_fine = eval_at_gauss(field, n_q)
     gf_coarse = restrict_gauss_field(gf_fine, record)
     return project_l2(gf_coarse, tol=tol)
-
-
-def energy_mismatch(field_before: NodalField, field_after: NodalField, energy_fn) -> float:
-    """Absolute change of an energy functional across a transfer."""
-    return abs(float(energy_fn(field_before)) - float(energy_fn(field_after)))

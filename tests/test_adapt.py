@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from amrfem import adapt
 from amrfem.adapt import (
     InterfaceCriterion,
     MmsCriterion,
@@ -68,6 +69,17 @@ class TestMarkMms:
         f = interpolate_nodal(mesh, 1, lambda c: np.ones(len(c)))
         plan = mark_mms(f, MmsCriterion(tau=1e-2, fine_level=3))
         assert not np.any(plan.flags == Flag.COARSEN)
+
+    def test_all_coarse_mesh_computes_no_indicator(self, monkeypatch):
+        def unused(field):
+            raise AssertionError("element_gradient_norms called")
+
+        monkeypatch.setattr(adapt, "element_gradient_norms", unused)
+        mesh = build_uniform(2, 2)
+        f = interpolate_nodal(mesh, 1, lambda c: c[:, 0] ** 2)
+        plan = mark_mms(f, MmsCriterion(tau=1e-2, fine_level=3))
+        assert plan.stage is Stage.COARSEN_STAGE
+        assert np.all(plan.flags == Flag.NO_CHANGE)
 
     def test_refine_stage_is_none(self):
         mesh = build_uniform(2, 3)

@@ -131,6 +131,11 @@ class TestAssemble:
             k = assemble_stiffness(mesh, p)
             assert abs(k - k.T).max() <= 1e-12
 
+    def test_mass_alone_builds_no_stiffness(self):
+        mesh = refined_mesh()
+        assemble_mass(mesh, 1)
+        assert list(enumerate_nodes(mesh, 1).cache) == [("mass_c", 2)]
+
     def test_stiffness_annihilates_constants(self):
         mesh = refined_mesh()
         k = assemble_stiffness(mesh, 1)

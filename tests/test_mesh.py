@@ -394,6 +394,39 @@ class TestEnumerateNodes:
         assert not nn.hanging
 
 
+class TestDissectionOrder:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_permutation_of_independent_dofs(self, dim, p):
+        mesh = build_uniform(dim, 3)
+        mesh, _ = execute_refine(mesh, refine_plan(mesh, [0, 5]))
+        mesh, _ = execute_refine(mesh, refine_plan(mesh, [1]))
+        nn = enumerate_nodes(mesh, p)
+        if dim == 2:
+            assert nn.n_nodes > nn.n_dofs  # hanging nodes
+        order = nn.dissection_order
+        assert order.dtype == np.int64
+        assert np.array_equal(np.sort(order), np.arange(nn.n_dofs))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_uniform_mesh_ends_with_the_x_midline(self, p):
+        mesh = build_uniform(2, 3)
+        nn = enumerate_nodes(mesh, p)
+        x = nn.independent_coords()[nn.dissection_order, 0]
+        n_line = 8 * p + 1
+        assert np.all(x[-n_line:] == 0.5)
+        assert x[-n_line - 1] != 0.5
+        # the left half, then the right half, then the separator between them
+        left = np.flatnonzero(x < 0.5)
+        right = np.flatnonzero(x > 0.5)
+        assert left.max() < right.min() and right.max() < len(x) - n_line
+
+    def test_1d_orders_each_half_before_its_midpoint(self):
+        nn = enumerate_nodes(build_uniform(1, 3), 1)
+        x = nn.independent_coords()[nn.dissection_order, 0] * 8
+        assert x.tolist() == [0, 1, 3, 2, 5, 8, 7, 6, 4]
+
+
 class TestRepeatedCycles:
     def test_random_adapt_sequence_invariants(self):
         rng = np.random.default_rng(2024)

@@ -215,6 +215,47 @@ class TestChStep:
         ref = pivoted.solve(rhs)
         assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-9 * np.linalg.norm(ref)
 
+    def test_dissection_factor_fills_less_than_minimum_degree(self):
+        mesh = build_uniform(2, 7)
+        prob = CahnHilliardProblem(dt=5e-4, mass_tol=1e-13)
+        phi = random_mixture_ic(mesh, 1, 0.0, 0.1, 3)
+        mu = chemical_potential_init(phi, prob)
+        ch_step(phi, mu, prob)
+        lu = enumerate_nodes(mesh, 1).cache[("ch_lu", prob.dt, prob.mobility, prob.eps2, prob.n_q)]
+        assert np.array_equal(lu.perm_c, np.arange(lu.shape[0]))  # no reordering by SuperLU
+        # without pivots the fill depends on the pattern only, which any state shares
+        _, jacobian = ch_residual_and_jacobian(phi, mu, prob, prob.dt)
+        mmd = spla.splu(
+            jacobian(np.concatenate([phi.values, mu.values])).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+        assert lu.nnz <= 0.8 * mmd.nnz
+
+    def test_step_matches_minimum_degree_factor(self, monkeypatch):
+        def one_step():
+            mesh = build_uniform(2, 5)
+            flags = np.zeros(mesh.n_leaves, np.int8)
+            flags[[3, 200, 201, 700]] = Flag.REFINE
+            mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+            prob = CahnHilliardProblem(dt=5e-4, mass_tol=1e-13)
+            phi = random_mixture_ic(mesh, 1, 0.0, 0.1, 11)
+            return ch_step(phi, chemical_potential_init(phi, prob), prob)
+
+        phi, mu, iters = one_step()
+
+        class MinimumDegreeLinalg:
+            def splu(self, a, **kwargs):
+                return spla.splu(a, **{**kwargs, "permc_spec": "MMD_AT_PLUS_A"})
+
+        monkeypatch.setattr(models, "spla", MinimumDegreeLinalg())
+        phi_ref, mu_ref, iters_ref = one_step()
+        assert iters == iters_ref
+        for got, ref in ((phi, phi_ref), (mu, mu_ref)):
+            err = np.linalg.norm(got.values - ref.values)
+            assert err <= 1e-10 * np.linalg.norm(ref.values)
+
     @pytest.mark.parametrize(
         "fe, phi0, amplitude, spd",
         [(PolynomialFreeEnergy(), 0.0, 0.9, True), (FloryHugginsFreeEnergy(), 0.5, 0.48, False)],

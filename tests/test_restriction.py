@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 from amrfem.quadrature import gauss_legendre, tensor_weights
 from amrfem.restriction import (
     apply_restriction,
-    apply_restriction_reference,
     build_restriction_1d,
     build_restriction_general,
     decode_morton,
     restriction_operator,
 )
+from restriction_reference import apply_restriction_reference
 
 REFERENCE_Q1 = np.array(
     [
