@@ -14,14 +14,12 @@ from .quadrature import (
     gauss_legendre,
     lagrange_eval,
     quad_point_basis,
-    tensor_index_map,
 )
 from .restriction import (
     RestrictionOperator,
     apply_restriction,
     build_restriction_1d,
     build_restriction_general,
-    decode_morton,
     restriction_operator,
 )
 from .mesh import (
@@ -48,7 +46,6 @@ from .fem import (
     integrate_gauss,
     interpolate_nodal,
     project_l2,
-    solve_newton,
     solve_spd,
 )
 from .transfer import (
@@ -69,7 +66,6 @@ from .models import (
     diffusion_step,
     energy,
     make_free_energy,
-    mass_drift,
     mms_exact,
     random_mixture_ic,
 )

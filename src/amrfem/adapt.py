@@ -5,12 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NodalField, eval_at_gauss, eval_grad_at_gauss
+from .fem import NodalField, _element_rule, eval_at_gauss, eval_grad_at_gauss
 from .mesh import (
     AdaptPlan,
     Flag,
     Stage,
-    enumerate_nodes,
     execute_coarsen,
     execute_refine,
     sibling_families,
@@ -39,10 +38,7 @@ def element_gradient_norms(field: NodalField) -> np.ndarray:
     eta_e = sqrt(sum_q w_q |J| |grad phi(x_q)|^2), one value per leaf.
     """
     grads = eval_grad_at_gauss(field)
-    from .fem import _tables
-
-    w = _tables(field.mesh.dim, field.p, field.p + 1)[2]
-    jac = (0.5 * field.mesh.leaf_sizes_physical) ** field.mesh.dim
+    w, jac = _element_rule(field.mesh, field.p, field.p + 1)
     sq = np.sum(grads * grads, axis=-1) @ w
     return np.sqrt(np.maximum(sq * jac, 0.0))
 
@@ -127,10 +123,7 @@ def mark_mms(field: NodalField, crit: MmsCriterion) -> AdaptPlan:
 def mark_interface(field: NodalField, crit: InterfaceCriterion, stage: Stage) -> AdaptPlan:
     """Band criterion: refine interface elements, coarsen bulk ones."""
     mesh = field.mesh
-    nn = enumerate_nodes(mesh, field.p)
-    nodal = field.node_values()[nn.elem_nodes]
-    gauss = eval_at_gauss(field).values
-    samples = np.concatenate([nodal, gauss], axis=1)
+    samples = np.concatenate([field.element_values(), eval_at_gauss(field).values], axis=1)
     if crit.closed:
         in_band = (samples >= crit.band_lo) & (samples <= crit.band_hi)
     else:

@@ -72,6 +72,17 @@ class ExperimentConfig:
             raise ValueError("bulk_level must be below interface_level")
         if self.adapt_every < 1:
             raise ValueError("adapt_every must be >= 1")
+        for name in ("dt", "t_final", "mass_tol", "newton_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.quad_points != 0 and self.quad_points < self.degree + 1:
+            raise ValueError(
+                f"quad_points must be 0 (for p + 1) or >= degree + 1 = {self.degree + 1}, "
+                f"got {self.quad_points}"
+            )
+        for name, low in (("pcg_max_iter", 0), ("newton_max_iter", 1), ("snapshot_every", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         return self
 
 

@@ -3,7 +3,10 @@
 Constraints from hanging nodes are folded through the mesh's constraint
 matrix T: assembled node-space operators A become T' A T and node-space
 vectors b become T' b, so all global systems act on independent dofs only
-and remain symmetric.
+and remain symmetric. Every element integral goes through one rule
+(``_element_rule``) and one of two scatters (``_scatter_vector``,
+``_scatter_matrix``); ``_gauss_rhs`` and ``_gauss_mass`` integrate a
+Gauss-point field against one or two basis functions.
 """
 from __future__ import annotations
 
@@ -12,9 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import NewtonError, SolverError
+from .errors import SolverError
 from .mesh import MAX_LEVEL, MeshTopology, NodeNumbering, enumerate_nodes
 from .quadrature import element_nodal_basis, gauss_legendre, tensor_weights
 
@@ -31,7 +33,6 @@ __all__ = [
     "project_l2",
     "interpolate_nodal",
     "solve_spd",
-    "solve_newton",
 ]
 
 
@@ -113,20 +114,32 @@ def _tables(dim: int, p: int, n_q: int):
     return b, grads, w, mass_ref, stiff_ref, rule
 
 
-def _node_operator(mesh: MeshTopology, nn: NodeNumbering, n_q: int, kind: str) -> sp.csr_matrix:
-    """Unconstrained mass or stiffness matrix over all geometric nodes."""
-    _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, nn.p, n_q)
-    h = mesh.leaf_sizes_physical
-    scale = (0.5 * h) ** mesh.dim
-    if kind == "mass":
-        ref = mass_ref
-    else:  # gradient factor (2/h)^2 times the volume Jacobian
-        scale, ref = scale * (2.0 / h) ** 2, stiff_ref
-    n_loc = ref.shape[0]
+def _element_rule(mesh: MeshTopology, p: int, n_q: int):
+    """Tensor Gauss weights w_q and each leaf's volume Jacobian (0.5 h)^dim.
+
+    Every element integral in the package is sum_e |J_e| sum_q w_q (...).
+    The L2 projection conserves the integral only because its load vector
+    and its mass matrix both use this one rule.
+    """
+    w = _tables(mesh.dim, p, n_q)[2]
+    return w, (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
+
+
+def _scatter_vector(nn: NodeNumbering, elem_vecs: np.ndarray) -> np.ndarray:
+    """Constrained global vector T' b from per-leaf vectors (n_leaves, n_loc)."""
+    b = np.bincount(nn.elem_nodes.ravel(), weights=elem_vecs.ravel(), minlength=nn.n_nodes)
+    return nn.constraint_matrix.T @ b
+
+
+def _scatter_matrix(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
+    """Constrained global matrix T' A T from per-leaf matrices (n_leaves, n_loc, n_loc)."""
+    n_loc = elem_mats.shape[1]
     rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
     cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
-    data = (scale[:, None, None] * ref[None, :, :]).ravel()
-    return sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
+    a = sp.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
+    del rows, cols  # release the triplets before T'AT, or they add to the peak memory
+    t = nn.constraint_matrix
+    return (t.T @ (a @ t)).tocsr()
 
 
 def _assembled(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr_matrix:
@@ -136,8 +149,13 @@ def _assembled(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr
     key = (f"{kind}_c", n_q)
     mat = nn.cache.get(key)
     if mat is None:
-        t = nn.constraint_matrix
-        mat = (t.T @ (_node_operator(mesh, nn, n_q, kind) @ t)).tocsr()
+        _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, p, n_q)
+        _, scale = _element_rule(mesh, p, n_q)
+        if kind == "mass":
+            ref = mass_ref
+        else:  # gradient factor (2/h)^2 times the volume Jacobian
+            scale, ref = scale * (2.0 / mesh.leaf_sizes_physical) ** 2, stiff_ref
+        mat = _scatter_matrix(nn, scale[:, None, None] * ref[None, :, :])
         nn.cache[key] = mat
     return mat
 
@@ -185,19 +203,24 @@ def gauss_point_coords(mesh: MeshTopology, n_q: int) -> np.ndarray:
 
 def integrate_gauss(gf: GaussField) -> float:
     """Domain integral: sum of weight * Jacobian * value over all leaves."""
-    w = _tables(gf.mesh.dim, gf.p, gf.n_q)[2]
-    jac = (0.5 * gf.mesh.leaf_sizes_physical) ** gf.mesh.dim
+    w, jac = _element_rule(gf.mesh, gf.p, gf.n_q)
     return float(jac @ (gf.values @ w))
 
 
 def _gauss_rhs(gf: GaussField) -> np.ndarray:
     """Constrained load vector b_a = sum_q w_q |J| g_q N_a(x_q)."""
-    nn = enumerate_nodes(gf.mesh, gf.p)
-    b, _, w, _, _, _ = _tables(gf.mesh.dim, gf.p, gf.n_q)
-    jac = (0.5 * gf.mesh.leaf_sizes_physical) ** gf.mesh.dim
+    b = _tables(gf.mesh.dim, gf.p, gf.n_q)[0]
+    w, jac = _element_rule(gf.mesh, gf.p, gf.n_q)
     contrib = (gf.values * w[None, :]) @ b.T * jac[:, None]
-    rhs = np.bincount(nn.elem_nodes.ravel(), weights=contrib.ravel(), minlength=nn.n_nodes)
-    return nn.constraint_matrix.T @ rhs
+    return _scatter_vector(enumerate_nodes(gf.mesh, gf.p), contrib)
+
+
+def _gauss_mass(gf: GaussField) -> sp.csr_matrix:
+    """Constrained weighted mass matrix A_ab = sum_q w_q |J| c_q N_a(x_q) N_b(x_q)."""
+    b = _tables(gf.mesh.dim, gf.p, gf.n_q)[0]
+    w, jac = _element_rule(gf.mesh, gf.p, gf.n_q)
+    wc = gf.values * w[None, :] * jac[:, None]
+    return _scatter_matrix(enumerate_nodes(gf.mesh, gf.p), np.einsum("eq,aq,bq->eab", wc, b, b))
 
 
 def project_l2(
@@ -273,52 +296,4 @@ def solve_spd(system: SparseSystem, x0: np.ndarray | None = None) -> np.ndarray:
     raise SolverError(
         f"PCG did not reach {system.tol:.1e} in {max_iter} iterations "
         f"(relative residual {rnorm / bnorm:.3e})"
-    )
-
-
-def solve_newton(
-    residual_fn,
-    jacobian_fn,
-    initial_guess,
-    tol: float = 1e-10,
-    max_iter: int = 30,
-):
-    """Newton iteration with a direct linear solve per step.
-
-    Convergence when ||R|| <= tol * max(1, ||R0||). Returns (solution,
-    residual trace); raises NewtonError with the trace on failure.
-    """
-    scalar = np.isscalar(initial_guess)
-    x = np.atleast_1d(np.asarray(initial_guess, dtype=float)).copy()
-
-    def res(v):
-        return np.atleast_1d(np.asarray(residual_fn(v[0] if scalar else v), dtype=float))
-
-    r = res(x)
-    r0 = max(1.0, float(np.linalg.norm(r)))
-    trace = [float(np.linalg.norm(r))]
-    for _ in range(max_iter):
-        if trace[-1] <= tol * r0:
-            return (float(x[0]) if scalar else x), trace
-        jac = jacobian_fn(x[0] if scalar else x)
-        try:
-            if sp.issparse(jac):
-                dx = spla.spsolve(jac.tocsc(), -r)
-            else:
-                jac = np.atleast_2d(np.asarray(jac, dtype=float))
-                dx = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"linear solve failed: {exc}", trace) from exc
-        if not np.all(np.isfinite(dx)):
-            raise NewtonError("linear solve produced non-finite update", trace)
-        x = x + dx
-        r = res(x)
-        trace.append(float(np.linalg.norm(r)))
-        if not np.isfinite(trace[-1]):
-            raise NewtonError("residual is not finite", trace)
-    if trace[-1] <= tol * r0:
-        return (float(x[0]) if scalar else x), trace
-    raise NewtonError(
-        f"no convergence in {max_iter} iterations (residuals {trace[0]:.3e} -> {trace[-1]:.3e})",
-        trace,
     )

@@ -7,7 +7,7 @@ system solved by Newton.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,15 +17,16 @@ from .errors import NewtonError
 from .fem import (
     NodalField,
     SparseSystem,
-    _tables,
+    _gauss_mass,
+    _gauss_rhs,
     assemble_mass,
     assemble_stiffness,
     eval_at_gauss,
     eval_grad_at_gauss,
-    enumerate_nodes,
+    integrate_gauss,
     solve_spd,
 )
-from .mesh import MeshTopology
+from .mesh import MeshTopology, enumerate_nodes
 
 __all__ = [
     "DiffusionProblem",
@@ -40,7 +41,6 @@ __all__ = [
     "ch_residual_and_jacobian",
     "chemical_potential_init",
     "energy",
-    "mass_drift",
     "random_mixture_ic",
 ]
 
@@ -194,37 +194,10 @@ class CahnHilliardProblem:
             raise ValueError("mobility must be positive")
 
 
-def _nonlinear_rhs(
-    mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe, n_q: int | None = None
-) -> np.ndarray:
+def _df_load(phi: NodalField, fe, n_q: int | None) -> np.ndarray:
     """Constrained vector of integral f'(phi) N_a using the element rule."""
-    nn = enumerate_nodes(mesh, p)
-    b, _, w, _, _, _ = _tables(mesh.dim, p, n_q or (p + 1))
-    node_vals = nn.node_values(phi_vals)
-    gauss = node_vals[nn.elem_nodes] @ b
-    jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
-    contrib = (fe.df(gauss) * w[None, :]) @ b.T * jac[:, None]
-    out = np.bincount(nn.elem_nodes.ravel(), weights=contrib.ravel(), minlength=nn.n_nodes)
-    return nn.constraint_matrix.T @ out
-
-
-def _nonlinear_jacobian(
-    mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe, n_q: int | None = None
-) -> sp.csr_matrix:
-    """Constrained matrix of integral f''(phi) N_a N_b."""
-    nn = enumerate_nodes(mesh, p)
-    b, _, w, _, _, _ = _tables(mesh.dim, p, n_q or (p + 1))
-    node_vals = nn.node_values(phi_vals)
-    gauss = node_vals[nn.elem_nodes] @ b
-    jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
-    wf = fe.d2f(gauss) * w[None, :] * jac[:, None]  # (n_e, n_q)
-    data = np.einsum("eq,aq,bq->eab", wf, b, b).ravel()
-    n_loc = b.shape[0]
-    rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
-    cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
-    t = nn.constraint_matrix
-    return (t.T @ (mat @ t)).tocsr()
+    gf = eval_at_gauss(phi, n_q)
+    return _gauss_rhs(replace(gf, values=fe.df(gf.values)))
 
 
 def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, dt: float):
@@ -246,12 +219,12 @@ def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilli
     def residual(u):
         phi_v, mu_v = u[:n], u[n:]
         r1 = (mass @ phi_v - m_phi_old) / dt + mob_stiff @ mu_v
-        r2 = mass @ mu_v - _nonlinear_rhs(mesh, p, phi_v, fe, problem.n_q) - eps_stiff @ phi_v
+        r2 = mass @ mu_v - _df_load(NodalField(mesh, p, phi_v), fe, problem.n_q) - eps_stiff @ phi_v
         return np.concatenate([r1, r2])
 
     def jacobian(u):
-        phi_v = u[:n]
-        jf = _nonlinear_jacobian(mesh, p, phi_v, fe, problem.n_q)
+        gf = eval_at_gauss(NodalField(mesh, p, u[:n]), problem.n_q)
+        jf = _gauss_mass(replace(gf, values=fe.d2f(gf.values)))  # integral f''(phi) N_a N_b
         return sp.bmat(
             [[mass_over_dt, mob_stiff], [-(jf + eps_stiff), mass]], format="csr"
         )
@@ -360,9 +333,7 @@ def chemical_potential_init(phi: NodalField, problem: CahnHilliardProblem) -> No
     mesh, p = phi.mesh, phi.p
     mass = assemble_mass(mesh, p, problem.n_q)
     stiff = assemble_stiffness(mesh, p, problem.n_q)
-    rhs = _nonlinear_rhs(
-        mesh, p, phi.values, problem.free_energy, problem.n_q
-    ) + problem.eps2 * (stiff @ phi.values)
+    rhs = _df_load(phi, problem.free_energy, problem.n_q) + problem.eps2 * (stiff @ phi.values)
     system = SparseSystem(mass, rhs, tol=problem.mass_tol, max_iter=problem.pcg_max_iter)
     return NodalField(mesh, p, solve_spd(system))
 
@@ -373,10 +344,8 @@ def energy(phi: NodalField, problem) -> float:
     n_q = getattr(problem, "n_q", None) or (phi.p + 1)
     gf = eval_at_gauss(phi, n_q)
     grads = eval_grad_at_gauss(phi, n_q)
-    w = _tables(phi.mesh.dim, phi.p, n_q)[2]
-    jac = (0.5 * phi.mesh.leaf_sizes_physical) ** phi.mesh.dim
     density = fe.f(gf.values) + 0.5 * problem.eps2 * np.sum(grads * grads, axis=-1)
-    return float(jac @ (density @ w))
+    return integrate_gauss(replace(gf, values=density))
 
 
 @dataclass
@@ -420,11 +389,6 @@ class Diagnostics:
                     f"{self.energies[i]:.17g},{self.delta_e[i]:.17g},"
                     f"{self.n_elements[i]},{self.n_dofs[i]}\n"
                 )
-
-
-def mass_drift(diag: Diagnostics) -> np.ndarray:
-    """Series of integral(phi)(t) - integral(phi)(0)."""
-    return diag.mass_drift()
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ __all__ = [
     "element_nodal_basis",
     "quad_point_basis",
     "lagrange_eval",
-    "tensor_index_map",
     "tensor_weights",
 ]
 
@@ -188,19 +187,6 @@ def lagrange_eval(basis: LagrangeBasis1D, j: int, x: float) -> float:
     if not 0 <= j < basis.n_nodes:
         raise ValueError(f"basis index {j} out of range [0, {basis.n_nodes})")
     return float(basis.values_at(x)[j, 0])
-
-
-def tensor_index_map(lex_idx: int, dim: int, n: int) -> tuple[int, int, int]:
-    """Decode a lexicographic lattice index into (I_x, I_y, I_z)."""
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
-    if not 0 <= lex_idx < n**dim:
-        raise ValueError(f"index {lex_idx} out of range for n={n}, dim={dim}")
-    if dim == 1:
-        return lex_idx, 0, 0
-    if dim == 2:
-        return lex_idx % n, lex_idx // n, 0
-    return lex_idx % n, (lex_idx // n) % n, lex_idx // (n * n)
 
 
 def tensor_weights(rule: QuadratureRule1D, dim: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from .quadrature import element_nodal_basis, gauss_legendre, quad_point_basis
 
 __all__ = [
     "RestrictionOperator",
-    "decode_morton",
     "build_restriction_1d",
     "build_restriction_general",
     "restriction_operator",
@@ -43,18 +42,6 @@ class RestrictionOperator:
 
     def coarse_block_size(self, dim: int) -> int:
         return self.n_coarse**dim
-
-
-def decode_morton(child: int, dim: int) -> tuple[int, int, int]:
-    """Child index in Morton (Z) order -> lattice bits (c_x, c_y, c_z)."""
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
-    if not 0 <= child < 2**dim:
-        raise ValueError(f"child {child} out of range for dim={dim}")
-    cx = child & 1
-    cy = (child & 2) >> 1
-    cz = (child & 4) >> 2 if dim == 3 else 0
-    return cx, cy, cz
 
 
 def _child_map(r, c: int):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .models import (
     mms_exact,
     random_mixture_ic,
 )
-from .quadrature import tensor_weights, gauss_legendre
 from .transfer import (
     TransferMode,
     transfer_coarsen_conservative,
@@ -142,9 +141,7 @@ def _l2_error_vs_exact(field: NodalField, problem: DiffusionProblem, t: float) -
     gf = eval_at_gauss(field, n_q)
     pts = gauss_point_coords(field.mesh, n_q)
     exact = mms_exact(pts[:, :, 0], pts[:, :, 1], t, problem)
-    w = tensor_weights(gauss_legendre(n_q), field.mesh.dim)
-    jac = (0.5 * field.mesh.leaf_sizes_physical) ** field.mesh.dim
-    return float(np.sqrt(jac @ (((gf.values - exact) ** 2) @ w)))
+    return float(np.sqrt(integrate_gauss(replace(gf, values=(gf.values - exact) ** 2))))
 
 
 def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:

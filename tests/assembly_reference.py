@@ -1,0 +1,83 @@
+"""Per-module element assembly, kept as an oracle for ``amrfem.fem``.
+
+These are the four hand-written copies of the element gather, weight,
+scatter and constrain code that ``fem._element_rule``, ``_scatter_vector``
+and ``_scatter_matrix`` replace: the mass/stiffness operator and the load
+vector of ``fem``, and the f'(phi) vector and f''(phi) matrix of the
+Cahn-Hilliard Newton system. ``tests/test_fem.py`` requires the kernels to
+reproduce them bit for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from amrfem.fem import GaussField, _tables
+from amrfem.mesh import MeshTopology, NodeNumbering, enumerate_nodes
+
+
+def _node_operator(mesh: MeshTopology, nn: NodeNumbering, n_q: int, kind: str) -> sp.csr_matrix:
+    """Unconstrained mass or stiffness matrix over all geometric nodes."""
+    _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, nn.p, n_q)
+    h = mesh.leaf_sizes_physical
+    scale = (0.5 * h) ** mesh.dim
+    if kind == "mass":
+        ref = mass_ref
+    else:  # gradient factor (2/h)^2 times the volume Jacobian
+        scale, ref = scale * (2.0 / h) ** 2, stiff_ref
+    n_loc = ref.shape[0]
+    rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
+    cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
+    data = (scale[:, None, None] * ref[None, :, :]).ravel()
+    return sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
+
+
+def assembled_reference(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr_matrix:
+    """Constrained global operator T' A T of one kind, uncached."""
+    n_q = p + 1 if n_q is None else n_q
+    nn = enumerate_nodes(mesh, p)
+    t = nn.constraint_matrix
+    return (t.T @ (_node_operator(mesh, nn, n_q, kind) @ t)).tocsr()
+
+
+def _gauss_rhs(gf: GaussField) -> np.ndarray:
+    """Constrained load vector b_a = sum_q w_q |J| g_q N_a(x_q)."""
+    nn = enumerate_nodes(gf.mesh, gf.p)
+    b, _, w, _, _, _ = _tables(gf.mesh.dim, gf.p, gf.n_q)
+    jac = (0.5 * gf.mesh.leaf_sizes_physical) ** gf.mesh.dim
+    contrib = (gf.values * w[None, :]) @ b.T * jac[:, None]
+    rhs = np.bincount(nn.elem_nodes.ravel(), weights=contrib.ravel(), minlength=nn.n_nodes)
+    return nn.constraint_matrix.T @ rhs
+
+
+def _nonlinear_rhs(
+    mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe, n_q: int | None = None
+) -> np.ndarray:
+    """Constrained vector of integral f'(phi) N_a using the element rule."""
+    nn = enumerate_nodes(mesh, p)
+    b, _, w, _, _, _ = _tables(mesh.dim, p, n_q or (p + 1))
+    node_vals = nn.node_values(phi_vals)
+    gauss = node_vals[nn.elem_nodes] @ b
+    jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
+    contrib = (fe.df(gauss) * w[None, :]) @ b.T * jac[:, None]
+    out = np.bincount(nn.elem_nodes.ravel(), weights=contrib.ravel(), minlength=nn.n_nodes)
+    return nn.constraint_matrix.T @ out
+
+
+def _nonlinear_jacobian(
+    mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe, n_q: int | None = None
+) -> sp.csr_matrix:
+    """Constrained matrix of integral f''(phi) N_a N_b."""
+    nn = enumerate_nodes(mesh, p)
+    b, _, w, _, _, _ = _tables(mesh.dim, p, n_q or (p + 1))
+    node_vals = nn.node_values(phi_vals)
+    gauss = node_vals[nn.elem_nodes] @ b
+    jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
+    wf = fe.d2f(gauss) * w[None, :] * jac[:, None]  # (n_e, n_q)
+    data = np.einsum("eq,aq,bq->eab", wf, b, b).ravel()
+    n_loc = b.shape[0]
+    rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
+    cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
+    t = nn.constraint_matrix
+    return (t.T @ (mat @ t)).tocsr()

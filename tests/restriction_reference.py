@@ -2,14 +2,40 @@
 
 ``tests/test_restriction.py`` requires the vectorised ``apply_restriction``
 to agree with it. It accumulates one child at a time with explicit index
-decoding, so it is slow and only meant for single blocks.
+decoding, so it is slow and only meant for single blocks. The two index
+decoders it uses are tested in ``test_restriction.py`` and
+``test_quadrature.py``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from amrfem.quadrature import tensor_index_map
-from amrfem.restriction import RestrictionOperator, decode_morton
+from amrfem.restriction import RestrictionOperator
+
+
+def decode_morton(child: int, dim: int) -> tuple[int, int, int]:
+    """Child index in Morton (Z) order -> lattice bits (c_x, c_y, c_z)."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
+    if not 0 <= child < 2**dim:
+        raise ValueError(f"child {child} out of range for dim={dim}")
+    cx = child & 1
+    cy = (child & 2) >> 1
+    cz = (child & 4) >> 2 if dim == 3 else 0
+    return cx, cy, cz
+
+
+def tensor_index_map(lex_idx: int, dim: int, n: int) -> tuple[int, int, int]:
+    """Decode a lexicographic lattice index into (I_x, I_y, I_z)."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
+    if not 0 <= lex_idx < n**dim:
+        raise ValueError(f"index {lex_idx} out of range for n={n}, dim={dim}")
+    if dim == 1:
+        return lex_idx, 0, 0
+    if dim == 2:
+        return lex_idx % n, lex_idx // n, 0
+    return lex_idx % n, (lex_idx // n) % n, lex_idx // (n * n)
 
 
 def apply_restriction_reference(

@@ -1,3 +1,5 @@
+import glob
+import os
 import subprocess
 import sys
 
@@ -36,6 +38,38 @@ class TestConfig:
         path.write_text("[experiment]\nkind = mms\ndegree = 2\n\n[mesh]\nlevel = 6\n")
         cfg = parse_config(str(path))
         assert cfg.kind == "mms" and cfg.degree == 2 and cfg.level == 6
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dt", -0.01),
+            ("dt", 0.0),
+            ("t_final", 0.0),
+            ("quad_points", 1),
+            ("pcg_max_iter", -3),
+            ("newton_max_iter", 0),
+            ("mass_tol", 0.0),
+            ("newton_tol", -1e-10),
+            ("snapshot_every", -1),
+        ],
+    )
+    def test_bad_solver_and_time_inputs_rejected(self, field, value):
+        cfg = ExperimentConfig(kind="mms", degree=1)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=field):
+            cfg.validate()
+
+    def test_quad_points_bound_follows_degree(self):
+        assert ExperimentConfig(degree=1, quad_points=2).validate().quad_points == 2
+        with pytest.raises(ValueError, match="quad_points"):
+            ExperimentConfig(degree=2, quad_points=2).validate()
+
+    def test_shipped_configs_validate(self):
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        paths = sorted(glob.glob(os.path.join(root, "*.cfg")))
+        assert paths
+        for path in paths:
+            parse_config(path)
 
     def test_boolean_parsing(self):
         cfg = parse_config("[adapt]\nband_closed = false\n")

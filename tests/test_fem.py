@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from amrfem.errors import NewtonError, SolverError
+from amrfem.errors import SolverError
 from amrfem.fem import (
+    _gauss_rhs,
     GaussField,
     NodalField,
     SparseSystem,
@@ -15,7 +16,6 @@ from amrfem.fem import (
     integrate_gauss,
     interpolate_nodal,
     project_l2,
-    solve_newton,
     solve_spd,
 )
 from amrfem.mesh import (
@@ -26,6 +26,14 @@ from amrfem.mesh import (
     enumerate_nodes,
     execute_refine,
 )
+from amrfem.models import (
+    CahnHilliardProblem,
+    FloryHugginsFreeEnergy,
+    PolynomialFreeEnergy,
+    ch_residual_and_jacobian,
+)
+
+import assembly_reference as ref
 
 
 def refined_mesh(level=2, leaves=(0,)):
@@ -250,22 +258,57 @@ class TestSolveSpd:
         assert np.all(solve_spd(SparseSystem(a, np.zeros(4))) == 0.0)
 
 
-class TestSolveNewton:
-    def test_scalar_quadratic(self):
-        x, trace = solve_newton(lambda x: x * x - 4.0, lambda x: 2.0 * x, 3.0, tol=1e-12)
-        assert x == pytest.approx(2.0, abs=1e-12)
+def _assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
-    def test_linear_system_converges_in_one_iteration(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        b = rng.standard_normal(5)
-        x, trace = solve_newton(
-            lambda v: a @ v - b, lambda v: a, np.zeros(5), tol=1e-12
-        )
-        assert len(trace) == 2  # initial residual + one update
-        assert np.abs(a @ x - b).max() <= 1e-10
 
-    def test_divergence_raises_with_trace(self):
-        with pytest.raises(NewtonError) as err:
-            solve_newton(lambda x: np.exp(x) + 1.0, lambda x: np.exp(x), 0.0, max_iter=5)
-        assert len(err.value.trace) >= 1
+@pytest.mark.parametrize("energy", ["polynomial", "flory_huggins"])
+@pytest.mark.parametrize("n_q_extra", [None, 2])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_assembly_kernels_match_per_module_reference(dim, p, n_q_extra, energy):
+    # the fem kernels reproduce the hand-written per-module assembly bit for
+    # bit: mass, stiffness, load vector, f'(phi) vector and f''(phi) matrix
+    n_q = None if n_q_extra is None else p + n_q_extra
+    if dim == 1:
+        mesh = build_uniform(1, 3)
+        flags = np.zeros(mesh.n_leaves, np.int8)
+        flags[[1, 2, 6]] = Flag.REFINE
+        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+    else:
+        mesh = refined_mesh(2, (0, 5, 9))
+    nn = enumerate_nodes(mesh, p)
+    assert dim == 1 or nn.n_nodes > nn.n_dofs  # 2D cases carry hanging nodes
+    for kind, assemble in (("mass", assemble_mass), ("stiff", assemble_stiffness)):
+        _assert_same_csr(assemble(mesh, p, n_q), ref.assembled_reference(mesh, p, n_q, kind))
+
+    rng = np.random.default_rng(31 + 7 * dim + p)
+    nq = p + 1 if n_q is None else n_q
+    gf = GaussField(mesh, p, nq, rng.standard_normal((mesh.n_leaves, nq**dim)))
+    assert np.array_equal(_gauss_rhs(gf), ref._gauss_rhs(gf))
+
+    if energy == "polynomial":
+        fe, phi = PolynomialFreeEnergy(), rng.uniform(-1.0, 1.0, nn.n_dofs)
+    else:
+        fe, phi = FloryHugginsFreeEnergy(), rng.uniform(0.05, 0.95, nn.n_dofs)
+    problem = CahnHilliardProblem(free_energy=fe, n_q=n_q)
+    mu = rng.standard_normal(nn.n_dofs)
+    dt = 1e-3
+    residual, jacobian = ch_residual_and_jacobian(
+        NodalField(mesh, p, phi), NodalField(mesh, p, mu), problem, dt
+    )
+    u = np.concatenate([phi + 0.01 * rng.standard_normal(nn.n_dofs), mu])
+    mass, stiff = assemble_mass(mesh, p, n_q), assemble_stiffness(mesh, p, n_q)
+    phi_v, mu_v = u[: nn.n_dofs], u[nn.n_dofs :]
+    r1 = (mass @ phi_v - mass @ phi) / dt + (problem.mobility * stiff).tocsr() @ mu_v
+    eps_stiff = (problem.eps2 * stiff).tocsr()
+    r2 = mass @ mu_v - ref._nonlinear_rhs(mesh, p, phi_v, fe, n_q) - eps_stiff @ phi_v
+    assert np.array_equal(residual(u), np.concatenate([r1, r2]))
+    jf = ref._nonlinear_jacobian(mesh, p, phi_v, fe, n_q)
+    want = sp.bmat(
+        [[(mass / dt).tocsr(), (problem.mobility * stiff).tocsr()], [-(jf + eps_stiff), mass]],
+        format="csr",
+    )
+    _assert_same_csr(jacobian(u), want)

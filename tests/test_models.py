@@ -23,7 +23,6 @@ from amrfem.models import (
     diffusion_step,
     energy,
     make_free_energy,
-    mass_drift,
     mms_exact,
     random_mixture_ic,
 )
@@ -317,11 +316,11 @@ class TestDiagnostics:
         d = Diagnostics()
         d.add(0.0, 1.0, 5.0, 0.0, 4, 9)
         d.add(0.1, 1.25, 4.0, 1e-9, 4, 9)
-        assert mass_drift(d) == pytest.approx([0.0, 0.25])
+        assert d.mass_drift() == pytest.approx([0.0, 0.25])
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            mass_drift(Diagnostics())
+            Diagnostics().mass_drift()
 
     def test_rows_strictly_increasing(self):
         d = Diagnostics()

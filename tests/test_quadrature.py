@@ -7,9 +7,9 @@ from amrfem.quadrature import (
     gauss_legendre,
     lagrange_eval,
     quad_point_basis,
-    tensor_index_map,
     tensor_weights,
 )
+from restriction_reference import tensor_index_map
 
 
 class TestGaussLegendre:

@@ -7,10 +7,9 @@ from amrfem.restriction import (
     apply_restriction,
     build_restriction_1d,
     build_restriction_general,
-    decode_morton,
     restriction_operator,
 )
-from restriction_reference import apply_restriction_reference
+from restriction_reference import apply_restriction_reference, decode_morton
 
 REFERENCE_Q1 = np.array(
     [
