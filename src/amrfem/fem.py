@@ -128,7 +128,7 @@ def _element_rule(mesh: MeshTopology, p: int, n_q: int):
 def _scatter_vector(nn: NodeNumbering, elem_vecs: np.ndarray) -> np.ndarray:
     """Constrained global vector T' b from per-leaf vectors (n_leaves, n_loc)."""
     b = np.bincount(nn.elem_nodes.ravel(), weights=elem_vecs.ravel(), minlength=nn.n_nodes)
-    return nn.constraint_matrix.T @ b
+    return nn.constraint_transpose @ b
 
 
 def _scatter_matrix(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:

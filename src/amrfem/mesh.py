@@ -451,6 +451,14 @@ class NodeNumbering:
         }
 
     @cached_property
+    def constraint_transpose(self) -> sp.csr_matrix:
+        """T' as CSR with sorted columns: each dof sums its node entries in
+        ascending node order from zero, as ``constraint_matrix.T @`` does."""
+        tt = self.constraint_matrix.T.tocsr()
+        tt.sort_indices()
+        return tt
+
+    @cached_property
     def dissection_order(self) -> np.ndarray:
         """Independent dofs in geometric nested-dissection order.
 

@@ -204,16 +204,21 @@ def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilli
     """Residual/Jacobian closures of the backward-Euler split system.
 
     The unknown is the stacked vector [phi; mu]. Exposed so the Jacobian can
-    be checked against finite differences of the residual.
+    be checked against finite differences of the residual. The scaled blocks
+    M/dt, mobility K and eps2 K are built once per numbering and dt.
     """
     mesh, p = phi.mesh, phi.p
     fe = problem.free_energy
     mass = assemble_mass(mesh, p, problem.n_q)
-    stiff = assemble_stiffness(mesh, p, problem.n_q)
+    nn = enumerate_nodes(mesh, p)
+    key = ("ch_blocks", dt, problem.mobility, problem.eps2, problem.n_q)
+    blocks = nn.cache.get(key)
+    if blocks is None:
+        stiff = assemble_stiffness(mesh, p, problem.n_q)
+        blocks = ((mass / dt).tocsr(), (problem.mobility * stiff).tocsr(), (problem.eps2 * stiff).tocsr())
+        nn.cache[key] = blocks
+    mass_over_dt, mob_stiff, eps_stiff = blocks
     n = len(phi.values)
-    mob_stiff = (problem.mobility * stiff).tocsr()
-    eps_stiff = (problem.eps2 * stiff).tocsr()
-    mass_over_dt = (mass / dt).tocsr()
     m_phi_old = mass @ phi.values
 
     def residual(u):
@@ -232,12 +237,69 @@ def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilli
     return residual, jacobian
 
 
-def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, dt: float):
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm by numpy's pairwise sum.
+
+    ``np.linalg.norm`` calls the BLAS dot, which splits long vectors across
+    threads, so its last bits depend on the thread count; the Newton
+    decisions read these norms and must not.
+    """
+    return float(np.sqrt(np.add.reduce(v * v)))
+
+
+def _anderson(history: list) -> np.ndarray:
+    """Type-II Anderson mixing of the last (update, image) pairs, depth <= 2.
+
+    With updates f_i = g_i - u_i and the differences dF, dG of successive
+    updates and images, gamma solves the Gram system (dF' dF) gamma = dF' f_k
+    and the next iterate is g_k - dG gamma, an affine combination of the
+    chord images (H. F. Walker and P. Ni, SIAM J. Numer. Anal. 2011). The
+    plain image g_k is returned when the system is singular (two differences
+    parallel to roundoff) or not finite.
+    """
+    f, g = history[-1]
+    dfs = [new[0] - old[0] for old, new in zip(history, history[1:])]
+    dgs = [new[1] - old[1] for old, new in zip(history, history[1:])]
+    dot = lambda a, b: float(np.add.reduce(a * b))
+    gamma = [np.nan]
+    if len(dfs) == 1:
+        a11 = dot(dfs[0], dfs[0])
+        if a11 > 0.0:
+            gamma = [dot(dfs[0], f) / a11]
+    elif len(dfs) == 2:
+        a11, a12, a22 = dot(dfs[0], dfs[0]), dot(dfs[0], dfs[1]), dot(dfs[1], dfs[1])
+        b1, b2 = dot(dfs[0], f), dot(dfs[1], f)
+        det = a11 * a22 - a12 * a12
+        if det > 1e-14 * a11 * a22:
+            gamma = [(a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det]
+    if not np.all(np.isfinite(gamma)):
+        return g
+    for c, dg in zip(gamma, dgs):
+        g = g - c * dg
+    return g
+
+
+def _ch_substep(
+    phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, dt: float, start=None
+):
     """One backward-Euler step of the split system at timestep dt.
 
-    Newton with a frozen factorisation: the Jacobian is factorised at the
-    start of the step and reused across iterations (the state moves little
-    per step), refactorising at the current iterate if contraction stalls.
+    Newton with a frozen factorisation, from ``start`` ([phi; mu], default
+    the old state): the Jacobian is factorised at the start of the step and
+    reused across iterations (the state moves little per step). Each
+    iteration forms the chord image g_k = u_k - J_LU^-1 r(u_k), and type-II
+    Anderson mixing of depth 2 (``_anderson``) combines it with the last two
+    images, which turns the linear convergence of the chord iteration into
+    nearly Newton-like convergence. The history is cleared at every
+    factorisation, and the Jacobian is refactorised at the current iterate
+    when an iteration cuts the residual by less than a factor 4.
+
+    Mass stays exact whatever the start: the first block row of J is the
+    exact, state-independent linearisation of the mass equation, and
+    1'K = 0, so every chord image g satisfies 1'M g_phi = 1'M phi_old; an
+    iterate is an affine combination of images, so it does too. The
+    residual norms and Gram entries are numpy pairwise sums (``_norm``), so
+    the iteration does not depend on the BLAS thread count.
 
     SuperLU factorises the Jacobian symmetrically permuted into the mesh's
     nested-dissection order of the dofs (``NodeNumbering.dissection_order``),
@@ -264,18 +326,23 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
     residual, jacobian = ch_residual_and_jacobian(phi, mu, problem, dt)
     n = len(phi.values)
     nn = enumerate_nodes(mesh, p)
-    perm = np.empty(2 * n, dtype=np.int64)  # factor row and column i is unknown perm[i]
-    perm[0::2] = nn.dissection_order
-    perm[1::2] = perm[0::2] + n
-    slot = np.empty_like(perm)
-    slot[perm] = np.arange(2 * n)
+    order = nn.cache.get("ch_perm")
+    if order is None:
+        perm = np.empty(2 * n, dtype=np.int64)  # factor row and column i is unknown perm[i]
+        perm[0::2] = nn.dissection_order
+        perm[1::2] = perm[0::2] + n
+        slot = np.empty_like(perm)
+        slot[perm] = np.arange(2 * n)
+        order = nn.cache["ch_perm"] = (perm, slot)
+    perm, slot = order
     lu_key = ("ch_lu", dt, problem.mobility, problem.eps2, problem.n_q)
-    u = np.concatenate([phi.values, mu.values])
+    u = np.concatenate([phi.values, mu.values]) if start is None else np.array(start, dtype=float)
     r = residual(u)
-    r0 = max(1.0, float(np.linalg.norm(r)))
-    trace = [float(np.linalg.norm(r))]
+    trace = [_norm(r)]
+    r0 = max(1.0, trace[0])
     lu = nn.cache.get(lu_key)
     refactor = lu is None
+    history = []  # (update, image) of the iterations since the last factorisation
     while True:
         if refactor:
             # Take the rows in factor order and relabel the columns: the
@@ -296,6 +363,7 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
                     trace,
                 ) from exc
             nn.cache[lu_key] = lu
+            history.clear()
         if trace[-1] <= problem.newton_tol * r0:
             return NodalField(mesh, p, u[:n]), NodalField(mesh, p, u[n:]), trace
         if len(trace) > problem.newton_max_iter:
@@ -304,28 +372,34 @@ def _ch_substep(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, d
                 f"(residuals {trace[0]:.3e} -> {trace[-1]:.3e})",
                 trace,
             )
-        u = u - np.take(lu.solve(np.take(r, perm)), slot)
+        update = -np.take(lu.solve(np.take(r, perm)), slot)
+        history = history[-2:] + [(update, u + update)]
+        u = _anderson(history)
         r = residual(u)
-        trace.append(float(np.linalg.norm(r)))
+        trace.append(_norm(r))
         if not np.isfinite(trace[-1]):
             raise NewtonError("residual is not finite", trace)
-        refactor = trace[-1] > 0.5 * trace[-2]  # frozen Jacobian no longer contracting
+        refactor = trace[-1] > 0.25 * trace[-2]  # frozen Jacobian no longer contracting
 
 
-def ch_step(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem):
+def ch_step(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, start=None):
     """Advance (phi, mu) by one backward-Euler step of length problem.dt.
 
-    If Newton fails, the step is retried once as two half steps; a second
-    failure propagates NewtonError with the residual trace.
+    Newton starts from ``start`` ([phi; mu] on the same mesh), by default
+    the old state. If Newton fails, the step is retried once as two half
+    steps from the old state; a second failure propagates NewtonError with
+    the residual trace. The count returned is every Newton iteration taken,
+    those of a failed full step included.
     """
     try:
-        phi2, mu2, trace = _ch_substep(phi, mu, problem, problem.dt)
+        phi2, mu2, trace = _ch_substep(phi, mu, problem, problem.dt, start)
         return phi2, mu2, len(trace) - 1
-    except NewtonError:
+    except NewtonError as exc:
+        failed = len(exc.trace) - 1
         half = problem.dt / 2.0
         phi1, mu1, t1 = _ch_substep(phi, mu, problem, half)
         phi2, mu2, t2 = _ch_substep(phi1, mu1, problem, half)
-        return phi2, mu2, len(t1) + len(t2) - 2
+        return phi2, mu2, failed + len(t1) + len(t2) - 2
 
 
 def chemical_potential_init(phi: NodalField, problem: CahnHilliardProblem) -> NodalField:

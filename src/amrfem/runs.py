@@ -58,7 +58,6 @@ def DEMO_FUNCTION(x):
 class Timers:
     pde_solve: float = 0.0
     transfer: float = 0.0
-    marking: float = 0.0
     total: float = 0.0
 
     def as_summary(self) -> dict:
@@ -66,7 +65,6 @@ class Timers:
             "wall_total_s": f"{self.total:.3f}",
             "wall_pde_solve_s": f"{self.pde_solve:.3f}",
             "wall_transfer_s": f"{self.transfer:.3f}",
-            "wall_marking_s": f"{self.marking:.3f}",
         }
 
 
@@ -226,6 +224,7 @@ class SpinodalResult:
     timers: Timers
     completed: bool
     failure: str = ""
+    newton_iterations: int = 0
 
     def summary_dict(self) -> dict:
         med = float(np.median(self.delta_e_events)) if self.delta_e_events else 0.0
@@ -238,6 +237,7 @@ class SpinodalResult:
             "final_energy": f"{self.diagnostics.energies[-1]:.17g}",
             "final_elements": str(self.diagnostics.n_elements[-1]),
             "completed": "true" if self.completed else "false",
+            "newton_iterations": str(self.newton_iterations),
         }
         out.update(self.timers.as_summary())
         return out
@@ -250,7 +250,10 @@ def run_spinodal(
 
     Starts from the seeded random mixture on a uniform interface-level mesh
     (the whole domain is interface at t=0) and adapts after every step. A
-    Newton failure aborts the run but leaves the partial diagnostics.
+    Newton failure aborts the run but leaves the partial diagnostics. When
+    the mesh did not change since the previous step, Newton starts from the
+    linear extrapolation 2 u_n - u_(n-1) of the state u = [phi; mu], which
+    has the mass of u_n.
     """
     mode = mode or config.mode
     tmode = TransferMode.CONSERVATIVE if mode == "conservative" else TransferMode.INJECTION
@@ -297,15 +300,21 @@ def run_spinodal(
     delta_e_events: list[float] = []
     completed = True
     failure = ""
+    newton_iterations = 0
+    previous = None  # (mesh, [phi; mu]) at the start of the last step
 
     n_steps = int(round(problem.t_final / problem.dt))
     snapshots = out_dir if out_dir and config.snapshot_every > 0 else None
     for step in range(1, n_steps + 1):
         t = step * problem.dt
+        u = np.concatenate([phi.values, mu.values])
+        start = 2.0 * u - previous[1] if previous is not None and previous[0] is mesh else None
+        previous = (mesh, u)
         try:
             t0 = time.perf_counter()
-            phi, mu, _ = ch_step(phi, mu, problem)
+            phi, mu, iterations = ch_step(phi, mu, problem, start)
             timers.pde_solve += time.perf_counter() - t0
+            newton_iterations += iterations
         except NewtonError as exc:
             completed = False
             failure = f"newton failure at t={t:.6g}: {exc} (trace {exc.trace})"
@@ -347,6 +356,7 @@ def run_spinodal(
         timers=timers,
         completed=completed,
         failure=failure,
+        newton_iterations=newton_iterations,
     )
 
 

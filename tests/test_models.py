@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from amrfem import models
+from amrfem import models, runs
+from amrfem.config import ExperimentConfig
 from amrfem.errors import NewtonError
 from amrfem.fem import (
     NodalField,
+    assemble_mass,
     eval_at_gauss,
     integrate_gauss,
     interpolate_nodal,
@@ -297,6 +304,127 @@ class TestChStep:
         assert len(calls) == 2  # the full step, then the first half step
         assert isinstance(info.value.__cause__, RuntimeError)
         assert len(info.value.trace) == 1 and info.value.trace[0] > 0
+
+    def test_every_iterate_keeps_the_old_mass(self, monkeypatch):
+        # every iterate is an affine combination of chord images, and each
+        # image satisfies the exact first block row, so 1'M phi never moves
+        mesh = build_uniform(2, 5)
+        flags = np.zeros(mesh.n_leaves, np.int8)
+        flags[[3, 200, 201, 700]] = Flag.REFINE
+        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+        n = enumerate_nodes(mesh, 1).n_dofs
+        prob = CahnHilliardProblem(dt=5e-4, mass_tol=1e-13)
+        mass = assemble_mass(mesh, 1)
+        iterates = []
+        real = models._anderson
+
+        def recording(history):
+            u = real(history)
+            iterates.append(u[:n].copy())
+            return u
+
+        monkeypatch.setattr(models, "_anderson", recording)
+        phi = random_mixture_ic(mesh, 1, 0.3, 0.1, 13)
+        mu = chemical_potential_init(phi, prob)
+        previous = None
+        for _ in range(12):
+            u = np.concatenate([phi.values, mu.values])
+            start = None if previous is None else 2.0 * u - previous
+            m_old = np.sum(mass @ phi.values)
+            iterates.clear()
+            phi, mu, iters = ch_step(phi, mu, prob, start)
+            previous = u
+            assert len(iterates) == iters
+            for it in iterates:
+                assert abs(np.sum(mass @ it) - m_old) <= 1e-14 * abs(m_old)
+        assert iters >= 3  # late steps mix two differences
+
+    def test_mixing_cuts_chord_iterations(self):
+        # 30 steps on one uniform level-5 mesh, one frozen factor: the plain
+        # chord iteration (refactorising below 2x contraction) took 222
+        prob = CahnHilliardProblem(dt=5e-4, mass_tol=1e-13)
+        mesh = build_uniform(2, 5)
+        phi = random_mixture_ic(mesh, 1, 0.0, 0.1, 7)
+        mu = chemical_potential_init(phi, prob)
+        total = 0
+        for _ in range(30):
+            phi, mu, iters = ch_step(phi, mu, prob)
+            total += iters
+        assert total <= 0.8 * 222
+
+    def test_extrapolated_start_only_on_an_unchanged_mesh(self, monkeypatch):
+        calls = []
+        real = runs.ch_step
+
+        def recording(phi, mu, problem, start=None):
+            out = real(phi, mu, problem, start)
+            calls.append((phi.mesh, np.concatenate([phi.values, mu.values]), start, out[2]))
+            return out
+
+        monkeypatch.setattr(runs, "ch_step", recording)
+        cfg = ExperimentConfig(
+            kind="spinodal", degree=1, bulk_level=2, interface_level=4,
+            band_lo=-0.05, band_hi=0.05, dt=5e-4, t_final=0.01, seed=1, mass_tol=1e-13,
+        )  # the narrow band makes the mesh change at some steps and not at others
+        res = runs.run_spinodal(cfg, "conservative")
+        assert res.completed and len(calls) == 20
+        assert calls[0][2] is None
+        unchanged = []
+        for (mesh0, u0, _, _), (mesh1, u1, start, _) in zip(calls, calls[1:]):
+            unchanged.append(mesh1 is mesh0)
+            if mesh1 is mesh0:
+                assert np.array_equal(start, 2.0 * u1 - u0)
+            else:
+                assert start is None
+        assert any(unchanged) and not all(unchanged)
+        assert res.newton_iterations == sum(c[3] for c in calls) > 0
+
+    def test_retry_counts_the_failed_full_step(self, monkeypatch):
+        real = models._ch_substep
+        traces = []
+
+        def failing_full_step(phi, mu, problem, dt, start=None):
+            out = real(phi, mu, problem, dt, start)
+            traces.append(out[2])
+            if dt == problem.dt:
+                raise NewtonError("forced failure", out[2])
+            return out
+
+        monkeypatch.setattr(models, "_ch_substep", failing_full_step)
+        prob = CahnHilliardProblem(dt=5e-4)
+        mesh = build_uniform(2, 4)
+        phi = random_mixture_ic(mesh, 1, 0.0, 0.1, 3)
+        _, _, iters = ch_step(phi, chemical_potential_init(phi, prob), prob)
+        assert len(traces) == 3 and len(traces[0]) > 1
+        assert iters == sum(len(t) - 1 for t in traces)
+
+    def test_substep_is_independent_of_blas_threads(self):
+        # OpenBLAS splits dot products above 10,000 entries across threads;
+        # the Newton norms and Gram entries must not see that
+        script = textwrap.dedent(
+            """
+            import hashlib
+            from amrfem.mesh import build_uniform
+            from amrfem.models import CahnHilliardProblem, _ch_substep, random_mixture_ic
+            prob = CahnHilliardProblem(dt=5e-4)
+            mesh = build_uniform(2, 7)
+            phi = random_mixture_ic(mesh, 1, 0.0, 0.1, 3)
+            mu = random_mixture_ic(mesh, 1, 0.0, 0.5, 5)
+            phi2, mu2, trace = _ch_substep(phi, mu, prob, prob.dt)
+            print(" ".join(t.hex() for t in trace))
+            print(hashlib.sha256(phi2.values.tobytes() + mu2.values.tobytes()).hexdigest())
+            """
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].split()) >= 4  # two or more iterations, so the mixing ran
+        assert outputs[0] == outputs[1]
 
     def test_energy_decay_over_a_few_steps(self):
         prob = CahnHilliardProblem(dt=5e-4, mass_tol=1e-13)

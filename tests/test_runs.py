@@ -72,6 +72,18 @@ class TestSpinodalSmall:
         snapshots = [p for p in os.listdir(tmp_path) if p.endswith(".vtk")]
         assert len(snapshots) == 2  # steps 10 and 20
 
+    def test_summary_reports_newton_iterations(self, tmp_path):
+        cfg = ExperimentConfig(
+            kind="spinodal", degree=1, bulk_level=2, interface_level=3,
+            dt=5e-4, t_final=0.005, seed=2, mass_tol=1e-13,
+        )
+        res = run_spinodal(cfg, "conservative")
+        assert res.newton_iterations > 0
+        emit_outputs(res, cfg, str(tmp_path), "conservative")
+        lines = (tmp_path / "summary_conservative.txt").read_text().splitlines()
+        assert f"newton_iterations={res.newton_iterations}" in lines
+        assert not any(line.startswith("wall_marking_s=") for line in lines)
+
 
 class TestVtk:
     def test_legacy_ascii_structure(self, tmp_path):
