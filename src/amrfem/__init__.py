@@ -12,16 +12,9 @@ from .quadrature import (
     QuadratureRule1D,
     element_nodal_basis,
     gauss_legendre,
-    lagrange_eval,
     quad_point_basis,
 )
-from .restriction import (
-    RestrictionOperator,
-    apply_restriction,
-    build_restriction_1d,
-    build_restriction_general,
-    restriction_operator,
-)
+from .restriction import apply_restriction, restriction_matrix
 from .mesh import (
     MAX_LEVEL,
     AdaptPlan,

@@ -175,7 +175,7 @@ def adapt_cycle(
     plan = criterion.mark(fields[conserved], Stage.COARSEN_STAGE)
     if plan is not None and np.any(plan.flags == Flag.COARSEN):
         new_mesh, record = execute_coarsen(mesh, plan)
-        if record.merges:
+        if len(record.merges):
             stats.n_merged = len(record.merges)
             before = fields[conserved]
             new_fields = {}

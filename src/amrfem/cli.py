@@ -42,10 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_restriction_dump(args) -> int:
-    from .restriction import build_restriction_1d
+    from .restriction import restriction_matrix
 
-    op = build_restriction_1d(args.p, args.nq)
-    for row in op.matrix:
+    for row in restriction_matrix(args.p, args.nq):
         print(" ".join(f"{v:.17g}" for v in row))
     return 0
 
@@ -120,8 +119,11 @@ def _cmd_spinodal(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "restriction":
+        if args.nq is not None and args.nq < args.p + 1:
+            parser.error(f"--nq must be at least p+1={args.p + 1}, got {args.nq}")
         return _cmd_restriction_dump(args)
     if args.command == "demo1d":
         return _cmd_demo1d(args)

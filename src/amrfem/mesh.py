@@ -246,14 +246,15 @@ class CoarsenRecord:
     """Old-mesh provenance of every leaf of the coarsened mesh.
 
     ``copy_source[j]`` is the old leaf index for unchanged leaves and -1 for
-    merged parents; ``merges`` lists (new_leaf_index, old_child_indices) with
-    children in Morton order.
+    merged parents. Row k of ``merges`` (int64, shape (n_merge, 2^dim))
+    holds the old child indices, in Morton order, of the k-th merged parent
+    ``np.flatnonzero(copy_source < 0)[k]``.
     """
 
     mesh_old: MeshTopology
     mesh_new: MeshTopology
     copy_source: np.ndarray
-    merges: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    merges: np.ndarray
 
 
 def build_uniform(dim: int, level: int) -> MeshTopology:
@@ -397,20 +398,18 @@ def execute_coarsen(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, 
             break
         alive = survivors
     starts = starts[alive]
-    if not starts.size:
-        return mesh, CoarsenRecord(mesh, mesh, np.arange(mesh.n_leaves), [])
-
     nchild = 2**dim
+    merges = starts[:, None] + np.arange(nchild)
+    if not starts.size:
+        return mesh, CoarsenRecord(mesh, mesh, np.arange(mesh.n_leaves), merges)
+
     merging = np.zeros(mesh.n_leaves, dtype=bool)
-    merging[starts[:, None] + np.arange(nchild)] = True
+    merging[merges] = True
     head = np.zeros(mesh.n_leaves, dtype=bool)
     head[starts] = True
     kept = np.flatnonzero(~merging | head)  # a merged parent takes its first child's place
     parent = head[kept]
     new_mesh = MeshTopology(dim, mesh.levels[kept] - parent, mesh.anchors[kept])
-    merges = [
-        (int(k), np.arange(s, s + nchild)) for k, s in zip(np.flatnonzero(parent), starts)
-    ]
     rec = CoarsenRecord(mesh, new_mesh, np.where(parent, -1, kept), merges)
     return new_mesh, rec
 

@@ -178,9 +178,6 @@ class CahnHilliardProblem:
     mobility: float = 1.0
     dt: float = 5e-4
     t_final: float = 0.5
-    phi0: float = 0.0
-    amplitude: float = 0.1
-    seed: int = 0
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
     mass_tol: float = 1e-12
@@ -204,34 +201,31 @@ def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilli
     """Residual/Jacobian closures of the backward-Euler split system.
 
     The unknown is the stacked vector [phi; mu]. Exposed so the Jacobian can
-    be checked against finite differences of the residual. The scaled blocks
-    M/dt, mobility K and eps2 K are built once per numbering and dt.
+    be checked against finite differences of the residual.
     """
     mesh, p = phi.mesh, phi.p
     fe = problem.free_energy
     mass = assemble_mass(mesh, p, problem.n_q)
-    nn = enumerate_nodes(mesh, p)
-    key = ("ch_blocks", dt, problem.mobility, problem.eps2, problem.n_q)
-    blocks = nn.cache.get(key)
-    if blocks is None:
-        stiff = assemble_stiffness(mesh, p, problem.n_q)
-        blocks = ((mass / dt).tocsr(), (problem.mobility * stiff).tocsr(), (problem.eps2 * stiff).tocsr())
-        nn.cache[key] = blocks
-    mass_over_dt, mob_stiff, eps_stiff = blocks
+    stiff = assemble_stiffness(mesh, p, problem.n_q)
     n = len(phi.values)
     m_phi_old = mass @ phi.values
 
     def residual(u):
         phi_v, mu_v = u[:n], u[n:]
-        r1 = (mass @ phi_v - m_phi_old) / dt + mob_stiff @ mu_v
-        r2 = mass @ mu_v - _df_load(NodalField(mesh, p, phi_v), fe, problem.n_q) - eps_stiff @ phi_v
+        r1 = (mass @ phi_v - m_phi_old) / dt + problem.mobility * (stiff @ mu_v)
+        r2 = (
+            mass @ mu_v
+            - _df_load(NodalField(mesh, p, phi_v), fe, problem.n_q)
+            - problem.eps2 * (stiff @ phi_v)
+        )
         return np.concatenate([r1, r2])
 
     def jacobian(u):
         gf = eval_at_gauss(NodalField(mesh, p, u[:n]), problem.n_q)
         jf = _gauss_mass(replace(gf, values=fe.d2f(gf.values)))  # integral f''(phi) N_a N_b
         return sp.bmat(
-            [[mass_over_dt, mob_stiff], [-(jf + eps_stiff), mass]], format="csr"
+            [[mass / dt, problem.mobility * stiff], [-(jf + problem.eps2 * stiff), mass]],
+            format="csr",
         )
 
     return residual, jacobian
@@ -326,15 +320,11 @@ def _ch_substep(
     residual, jacobian = ch_residual_and_jacobian(phi, mu, problem, dt)
     n = len(phi.values)
     nn = enumerate_nodes(mesh, p)
-    order = nn.cache.get("ch_perm")
-    if order is None:
-        perm = np.empty(2 * n, dtype=np.int64)  # factor row and column i is unknown perm[i]
-        perm[0::2] = nn.dissection_order
-        perm[1::2] = perm[0::2] + n
-        slot = np.empty_like(perm)
-        slot[perm] = np.arange(2 * n)
-        order = nn.cache["ch_perm"] = (perm, slot)
-    perm, slot = order
+    perm = np.empty(2 * n, dtype=np.int64)  # factor row and column i is unknown perm[i]
+    perm[0::2] = nn.dissection_order
+    perm[1::2] = perm[0::2] + n
+    slot = np.empty_like(perm)
+    slot[perm] = np.arange(2 * n)
     lu_key = ("ch_lu", dt, problem.mobility, problem.eps2, problem.n_q)
     u = np.concatenate([phi.values, mu.values]) if start is None else np.array(start, dtype=float)
     r = residual(u)

@@ -17,7 +17,6 @@ __all__ = [
     "gauss_legendre",
     "element_nodal_basis",
     "quad_point_basis",
-    "lagrange_eval",
     "tensor_weights",
 ]
 
@@ -176,17 +175,9 @@ def element_nodal_basis(p: int) -> LagrangeBasis1D:
 
 
 @lru_cache(maxsize=None)
-def quad_point_basis(p: int, n_points: int | None = None) -> LagrangeBasis1D:
-    """Degree-(n-1) basis whose nodes are the n-point Gauss abscissae."""
-    n = p + 1 if n_points is None else n_points
-    return _make_basis(gauss_legendre(n).points.copy(), n - 1)
-
-
-def lagrange_eval(basis: LagrangeBasis1D, j: int, x: float) -> float:
-    """Value of the j-th cardinal polynomial of ``basis`` at ``x``."""
-    if not 0 <= j < basis.n_nodes:
-        raise ValueError(f"basis index {j} out of range [0, {basis.n_nodes})")
-    return float(basis.values_at(x)[j, 0])
+def quad_point_basis(p: int) -> LagrangeBasis1D:
+    """Degree-p basis whose nodes are the (p+1)-point Gauss abscissae."""
+    return _make_basis(gauss_legendre(p + 1).points.copy(), p)
 
 
 def tensor_weights(rule: QuadratureRule1D, dim: int) -> np.ndarray:

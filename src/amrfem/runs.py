@@ -269,9 +269,6 @@ def run_spinodal(
         mobility=config.mobility,
         dt=config.dt,
         t_final=config.t_final,
-        phi0=config.phi0,
-        amplitude=config.amplitude,
-        seed=config.seed,
         newton_tol=config.newton_tol,
         newton_max_iter=config.newton_max_iter,
         mass_tol=config.mass_tol,

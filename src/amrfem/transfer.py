@@ -16,7 +16,7 @@ import numpy as np
 from .fem import GaussField, NodalField, eval_at_gauss, project_l2
 from .mesh import CoarsenRecord, RefineRecord, enumerate_nodes
 from .quadrature import element_nodal_basis
-from .restriction import apply_restriction, restriction_operator
+from .restriction import apply_restriction, restriction_matrix
 
 __all__ = [
     "TransferMode",
@@ -97,17 +97,14 @@ def restrict_gauss_field(gf: GaussField, record: CoarsenRecord) -> GaussField:
     """
     if gf.mesh is not record.mesh_old:
         raise ValueError("gauss field does not live on the record's source mesh")
-    dim = gf.mesh.dim
-    op = restriction_operator(gf.p, gf.n_q)
     n_new = record.mesh_new.n_leaves
-    out = np.empty((n_new, gf.n_q**dim))
+    out = np.empty((n_new, gf.values.shape[1]))
     copies = record.copy_source >= 0
     out[copies] = gf.values[record.copy_source[copies]]
-    if record.merges:
-        new_idx = np.array([m[0] for m in record.merges])
-        children = np.stack([m[1] for m in record.merges])  # (n_merge, 2^dim)
-        blocks = gf.values[children].reshape(len(new_idx), -1)
-        out[new_idx] = apply_restriction(op, dim, blocks)
+    if len(record.merges):
+        blocks = gf.values[record.merges].reshape(len(record.merges), -1)
+        matrix = restriction_matrix(gf.p, gf.n_q)
+        out[~copies] = apply_restriction(matrix, gf.mesh.dim, blocks)
     return GaussField(record.mesh_new, gf.p, gf.n_q, out)
 
 

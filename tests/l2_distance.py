@@ -21,12 +21,10 @@ def coarsen_l2_distance(fine: NodalField, coarse: NodalField, record: CoarsenRec
     diff = np.empty_like(fine_ev)
     copies = record.copy_source >= 0
     diff[record.copy_source[copies]] = fine_ev[record.copy_source[copies]] - coarse_ev[copies]
-    if record.merges:
-        parents = np.array([m[0] for m in record.merges])
-        children = np.stack([m[1] for m in record.merges])  # Morton child order
-        for c in range(2**dim):
-            prolonged = coarse_ev[parents] @ _child_interp(dim, p, c).T
-            diff[children[:, c]] = fine_ev[children[:, c]] - prolonged
+    parents = coarse_ev[~copies]  # row k merges the children in merges[k]
+    for c in range(2**dim):
+        children = record.merges[:, c]  # Morton child c of every merged parent
+        diff[children] = fine_ev[children] - parents @ _child_interp(dim, p, c).T
     mass_ref = _tables(dim, p, p + 1)[3]
     jac = (0.5 * mesh.leaf_sizes_physical) ** dim
     sq = float(np.einsum("ea,ab,eb->e", diff, mass_ref, diff) @ jac)

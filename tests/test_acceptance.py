@@ -107,10 +107,9 @@ def test_criterion_04_discrete_conservation_identity():
     rng = np.random.default_rng(20240401)
     for dim in (1, 2, 3):
         for p in (1, 2):
-            op = a.restriction_operator(p)
             w = tensor_weights(gauss_legendre(p + 1), dim)
-            fine = rng.standard_normal((1000, op.fine_block_size(dim)))
-            coarse = a.apply_restriction(op, dim, fine)
+            fine = rng.standard_normal((1000, 2**dim * len(w)))
+            coarse = a.apply_restriction(a.restriction_matrix(p), dim, fine)
             lhs = coarse @ w
             rhs = fine @ np.tile(w, 2**dim) / 2**dim
             rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30)
@@ -148,7 +147,7 @@ def test_criterion_05_global_transfer_conservation():
             f = a.NodalField(mesh, p, rng.standard_normal(nn.n_dofs) + 1.5)
             n_fields += 1
             m0 = field_mass(f)
-            if crec.merges:
+            if len(crec.merges):
                 fc = a.transfer_coarsen_conservative(f, crec, tol=1e-12)
                 worst_cons = max(worst_cons, abs(field_mass(fc) - m0) / abs(m0))
             fr = a.transfer_refine(f, rrec)
@@ -245,7 +244,7 @@ def recording_conservative_transfer(events, energy_fn):
 
     def wrapper(field, record, *args, **kwargs):
         out = real(field, record, *args, **kwargs)
-        if record.merges:
+        if len(record.merges):
             t0 = time.perf_counter()
             inj = a.transfer_coarsen_injection(field, record)
             events.append(

@@ -120,6 +120,14 @@ class TestCli:
         rows = [list(map(float, line.split())) for line in proc.stdout.strip().splitlines()]
         assert np.asarray(rows).shape == (3, 6)
 
+    def test_restriction_dump_rejects_too_few_points(self):
+        proc = run_cli("restriction", "dump", "--p", "2", "--nq", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = proc.stderr.strip().splitlines()[-1]
+        assert "--nq must be at least p+1=3, got 2" in error
+
     @staticmethod
     def parse_demo(stdout):
         vals = {}

@@ -192,20 +192,18 @@ class TestExecuteCoarsen:
         mesh = build_uniform(2, 3)
         plan = coarsen_plan(mesh, list(range(0, 24)))
         mesh2, record = execute_coarsen(mesh, plan)
-        covered = set()
-        for j, src in enumerate(record.copy_source):
-            if src >= 0:
-                covered.add(j)
-        for new_idx, children in record.merges:
-            assert len(children) == 4
-            covered.add(new_idx)
-        assert covered == set(range(mesh2.n_leaves))
+        assert record.merges.dtype == np.int64
+        assert record.merges.shape == (np.count_nonzero(record.copy_source < 0), 4)
+        copied = record.copy_source[record.copy_source >= 0]
+        old = np.concatenate([copied, record.merges.ravel()])
+        assert np.array_equal(np.sort(old), np.arange(mesh.n_leaves))
+        assert len(copied) + len(record.merges) == mesh2.n_leaves
 
     def test_partial_family_demoted(self):
         mesh = build_uniform(2, 2)
         mesh2, record = execute_coarsen(mesh, coarsen_plan(mesh, [0, 1, 2]))
         assert mesh2 is mesh
-        assert not record.merges
+        assert not len(record.merges)
 
     def test_mixed_levels_not_merged(self):
         mesh = build_uniform(2, 2)
@@ -245,7 +243,7 @@ class TestExecuteCoarsen:
         assert len(sibling_families(mesh3, plan.flags == Flag.COARSEN)) == 1
         mesh4, record = execute_coarsen(mesh3, plan)
         assert mesh4 is mesh3
-        assert not record.merges
+        assert not len(record.merges)
         assert np.array_equal(record.copy_source, np.arange(mesh3.n_leaves))
 
     def test_wrong_stage_rejected(self):
@@ -265,7 +263,7 @@ class TestExecuteCoarsen:
         mesh = build_uniform(2, 3)
         mesh2, record = execute_coarsen(mesh, coarsen_plan(mesh, list(range(4))))
         assert len(record.merges) == 1
-        new_idx = record.merges[0][0]
+        (new_idx,) = np.flatnonzero(record.copy_source < 0)
         mesh3, _ = execute_refine(mesh2, refine_plan(mesh2, [new_idx]))
         assert mesh3.n_leaves == mesh.n_leaves
         assert np.array_equal(mesh3.levels, mesh.levels)
@@ -491,8 +489,10 @@ class TestAgainstLoopReference:
                     new, record = execute_coarsen(mesh, plan)
                     levels, anchors, copy_source, merges = reference.coarsen(mesh, plan.flags)
                     assert np.array_equal(record.copy_source, copy_source)
-                    assert len(record.merges) == len(merges)
-                    for (k, children), (k_ref, children_ref) in zip(record.merges, merges):
+                    assert record.merges.shape == (len(merges), 2**dim)
+                    for k, children, (k_ref, children_ref) in zip(
+                        np.flatnonzero(copy_source < 0), record.merges, merges
+                    ):
                         assert k == k_ref and np.array_equal(children, children_ref)
                     if not merges:
                         assert new is mesh

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from amrfem.quadrature import (
     element_nodal_basis,
     gauss_legendre,
-    lagrange_eval,
     quad_point_basis,
     tensor_weights,
 )
@@ -76,7 +75,7 @@ class TestLagrangeBasis:
         assert np.abs(sums - 1.0).max() <= 1e-13
 
     def test_q1_hat_midpoint(self):
-        assert lagrange_eval(element_nodal_basis(1), 0, 0.0) == pytest.approx(0.5)
+        assert element_nodal_basis(1).values_at(0.0)[0, 0] == pytest.approx(0.5)
 
     def test_quad_point_basis_at_child_mapped_gauss_point(self):
         # Direct fraction oracle: N_0(x) = (x_1 - x) / (x_1 - x_0) on nodes
@@ -86,17 +85,13 @@ class TestLagrangeBasis:
         s = 1.0 / np.sqrt(3.0)
         x = 0.5 * (-s - 1.0)
         expected = (s - x) / (2.0 * s)
-        got = lagrange_eval(basis, 0, x)
+        got = float(basis.values_at(x)[0, 0])
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(1.1830127018922192, abs=1e-14)
 
     def test_partition_of_unity_at_fixed_point(self):
         for basis in (element_nodal_basis(1), element_nodal_basis(2), quad_point_basis(2)):
             assert basis.values_at(0.3).sum() == pytest.approx(1.0, abs=1e-14)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            lagrange_eval(element_nodal_basis(1), 2, 0.0)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_derivatives_match_finite_differences(self, p):

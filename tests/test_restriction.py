@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amrfem.quadrature import gauss_legendre, tensor_weights
-from amrfem.restriction import (
-    apply_restriction,
-    build_restriction_1d,
-    build_restriction_general,
-    restriction_operator,
+from amrfem.restriction import apply_restriction, restriction_matrix
+from restriction_reference import (
+    apply_restriction_branches,
+    apply_restriction_reference,
+    decode_morton,
+    local_mass_restriction,
 )
-from restriction_reference import apply_restriction_reference, decode_morton
 
 REFERENCE_Q1 = np.array(
     [
@@ -49,97 +49,132 @@ class TestDecodeMorton:
             assert cx | (cy << 1) | (cz << 2) == child
 
 
+# float.hex of every entry of the n_q = p + 1 matrices: the diagonal
+# Gauss-nodal formula, whose bits the restriction dump and the MMS error pin.
+HEX_PINS = {
+    1: [
+        [
+            "0x1.2ed9eba16132bp-1", "0x1.5db3d742c2656p-2",
+            "0x1.4498517a7b355p-3", "-0x1.76cf5d0b09956p-4",
+        ],
+        [
+            "-0x1.76cf5d0b09956p-4", "0x1.4498517a7b355p-3",
+            "0x1.5db3d742c2656p-2", "0x1.2ed9eba16132bp-1",
+        ],
+    ],
+    2: [
+        [
+            "0x1.3a94a3b1a6f9ep-1", "0x1.b30ff4d7fa184p-2", "0x1.5555555555554p-5",
+            "-0x1.fd3f20df89e67p-6", "-0x1.76ea7e0a930bfp-4", "0x1.5555555555553p-5",
+        ],
+        [
+            "-0x1.8f91dd22ed8c0p-4", "0x1.2aaaaaaaaaaabp-2", "0x1.3939cc9e10b86p-2",
+            "0x1.3939cc9e10b86p-2", "0x1.2aaaaaaaaaaabp-2", "-0x1.8f91dd22ed8bfp-4",
+        ],
+        [
+            "0x1.5555555555554p-5", "-0x1.76ea7e0a930bfp-4", "-0x1.fd3f20df89e67p-6",
+            "0x1.5555555555554p-5", "0x1.b30ff4d7fa184p-2", "0x1.3a94a3b1a6f9dp-1",
+        ],
+    ],
+}
+
+
+def _weighted_column_sums(p, n_q):
+    # testing with v=1 in the Galerkin condition gives the discrete
+    # conservation identity sum_i w_i R[i,(c,q)] = w_q / 2
+    w = gauss_legendre(n_q).weights
+    col = w @ restriction_matrix(p, n_q)
+    return np.abs(col - 0.5 * np.concatenate([w, w])).max()
+
+
 class TestBuild1D:
     def test_q1_matches_reference_matrix(self):
-        op = build_restriction_1d(1, 2)
-        assert np.abs(op.matrix - REFERENCE_Q1).max() <= 1e-9
-        assert op.matrix[0, 0] == pytest.approx(0.5915063509461096, abs=1e-15)
-        assert op.matrix[0, 3] == pytest.approx(-0.09150635094610965, abs=1e-15)
+        mat = restriction_matrix(1, 2)
+        assert np.abs(mat - REFERENCE_Q1).max() <= 1e-9
+        assert mat[0, 0] == pytest.approx(0.5915063509461096, abs=1e-15)
+        assert mat[0, 3] == pytest.approx(-0.09150635094610965, abs=1e-15)
 
     def test_q2_matches_reference_matrix(self):
-        op = build_restriction_1d(2, 3)
-        assert np.abs(op.matrix - REFERENCE_Q2).max() <= 1e-9
-        assert op.matrix[0, 0] == pytest.approx(0.614415278851, abs=1e-9)
-        assert op.matrix[1, 1] == pytest.approx(0.291666666667, abs=1e-9)
+        mat = restriction_matrix(2, 3)
+        assert np.abs(mat - REFERENCE_Q2).max() <= 1e-9
+        assert mat[0, 0] == pytest.approx(0.614415278851, abs=1e-9)
+        assert mat[1, 1] == pytest.approx(0.291666666667, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_bits_pinned(self, p):
+        got = [[float(v).hex() for v in row] for row in restriction_matrix(p)]
+        assert got == HEX_PINS[p]
 
     def test_constant_reproduction(self):
-        op = build_restriction_1d(1)
-        assert op.matrix @ np.ones(4) == pytest.approx([1.0, 1.0], abs=1e-13)
+        assert restriction_matrix(1) @ np.ones(4) == pytest.approx([1.0, 1.0], abs=1e-13)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_row_sums_one(self, p):
-        op = build_restriction_1d(p)
-        assert np.abs(op.matrix.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(restriction_matrix(p).sum(axis=1) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_weighted_column_sums(self, p):
-        # testing with v=1 in the Galerkin condition gives the discrete
-        # conservation identity sum_i w_i R[i,(c,q)] = w_q / 2
-        op = build_restriction_1d(p)
-        col = op.coarse_weights @ op.matrix
-        expected = 0.5 * np.concatenate([op.fine_weights, op.fine_weights])
-        assert np.abs(col - expected).max() <= 1e-12
+        assert _weighted_column_sums(p, p + 1) <= 1e-12
+
+    def test_cached_and_read_only(self):
+        mat = restriction_matrix(2, 4)
+        assert restriction_matrix(2, 4) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
 
 
 class TestBuildGeneral:
     def test_reduces_to_diagonal_path(self):
-        gen = build_restriction_general(1, 2, 2)
-        assert np.abs(gen.matrix - build_restriction_1d(1).matrix).max() <= 1e-13
+        # the local mass solve at n_q = p + 1 gives the diagonal formula
+        for p in (1, 2):
+            gen = local_mass_restriction(p, p + 1)
+            assert np.abs(gen - restriction_matrix(p)).max() <= 1e-13
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_elevated_quadrature_is_local_mass_solve(self, p):
+        assert np.array_equal(restriction_matrix(p, p + 2), local_mass_restriction(p, p + 2))
 
     def test_conservation_with_elevated_quadrature(self):
-        op = build_restriction_general(1, 3, 3)
-        col = op.coarse_weights @ op.matrix
-        expected = 0.5 * np.concatenate([op.fine_weights, op.fine_weights])
-        assert np.abs(col - expected).max() <= 1e-12
+        assert _weighted_column_sums(1, 3) <= 1e-12
 
     def test_row_sums_p2_four_points(self):
-        op = build_restriction_general(2, 4, 4)
-        assert np.abs(op.matrix.sum(axis=1) - 1.0).max() <= 1e-12
-
-    def test_mismatched_fine_coarse_counts(self):
-        op = build_restriction_general(1, 3, 2)
-        assert op.matrix.shape == (2, 6)
-        col = op.coarse_weights @ op.matrix
-        expected = 0.5 * np.concatenate([op.fine_weights, op.fine_weights])
-        assert np.abs(col - expected).max() <= 1e-12
+        assert np.abs(restriction_matrix(2, 4).sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            build_restriction_general(2, 2, 3)
-
-    def test_build_1d_routes_nonstandard_to_general(self):
-        a = build_restriction_1d(1, 3)
-        b = build_restriction_general(1, 3, 3)
-        assert np.array_equal(a.matrix, b.matrix)
+            restriction_matrix(2, 2)
 
 
 def _child_gauss_points_1d(rule):
     return np.concatenate([0.5 * (rule.points - 1.0), 0.5 * (rule.points + 1.0)])
 
 
+def _block_size(dim, p):
+    return 2**dim * (p + 1) ** dim
+
+
 class TestApply:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2])
     def test_constant_field(self, dim, p):
-        op = restriction_operator(p)
-        fine = np.full(op.fine_block_size(dim), 7.3)
-        coarse = apply_restriction(op, dim, fine)
+        fine = np.full((1, _block_size(dim, p)), 7.3)
+        coarse = apply_restriction(restriction_matrix(p), dim, fine)
+        assert coarse.shape == (1, (p + 1) ** dim)
         assert np.abs(coarse - 7.3).max() <= 1e-13
 
     def test_linear_function_1d_against_explicit_matrix(self):
         # L2 projection of x reproduces x; oracle is the plain 2x4 product
-        op = build_restriction_1d(1)
+        mat = restriction_matrix(1)
         rule = gauss_legendre(2)
         fine = _child_gauss_points_1d(rule)
-        coarse = apply_restriction(op, 1, fine)
+        coarse = apply_restriction(mat, 1, fine[None, :])[0]
         assert coarse == pytest.approx(list(rule.points), abs=1e-13)
-        assert coarse == pytest.approx(list(op.matrix @ fine), abs=1e-15)
+        assert coarse == pytest.approx(list(mat @ fine), abs=1e-15)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_polynomial_reproduction_2d(self, p):
         # Gauss samples of a tensor polynomial of per-axis degree <= p map to
         # the parent's own Gauss samples
-        op = restriction_operator(p)
         rule = gauss_legendre(p + 1)
         n = p + 1
 
@@ -156,7 +191,7 @@ class TestApply:
                     x = 0.5 * (rule.points[qx] + 2 * cx - 1)
                     y = 0.5 * (rule.points[qy] + 2 * cy - 1)
                     fine.append(poly(x, y))
-        coarse = apply_restriction(op, 2, np.asarray(fine))
+        coarse = apply_restriction(restriction_matrix(p), 2, np.asarray([fine]))[0]
         expected = [
             poly(rule.points[qx], rule.points[qy]) for qy in range(n) for qx in range(n)
         ]
@@ -167,16 +202,15 @@ class TestApply:
     def test_matches_kronecker_oracle(self, dim, p):
         # oracle: explicit Kronecker product acting on a reordered fine
         # vector (kron layout interleaves (child, point) per axis)
-        op = restriction_operator(p)
-        n = op.n_fine
-        nc = op.n_coarse
+        mat = restriction_matrix(p)
+        n = p + 1
         rng = np.random.default_rng(12345)
-        fine = rng.standard_normal(op.fine_block_size(dim))
+        fine = rng.standard_normal(_block_size(dim, p))
 
-        full = op.matrix
+        full = mat
         for _ in range(dim - 1):
-            full = np.kron(op.matrix, full)
-        perm = np.empty(op.fine_block_size(dim), dtype=int)
+            full = np.kron(mat, full)
+        perm = np.empty(_block_size(dim, p), dtype=int)
         for idx in range(len(perm)):
             child, point = divmod(idx, n**dim)
             cbits = decode_morton(child, dim)
@@ -186,29 +220,39 @@ class TestApply:
             for d in reversed(range(dim)):
                 kron_idx = kron_idx * (2 * n) + kron_axis[d]
             perm[idx] = kron_idx
-        oracle = np.zeros(nc**dim)
-        scattered = np.zeros(op.fine_block_size(dim))
+        scattered = np.zeros(_block_size(dim, p))
         scattered[perm] = fine
         oracle = full @ scattered
-        got = apply_restriction(op, dim, fine)
+        got = apply_restriction(mat, dim, fine[None, :])[0]
         assert np.abs(got - oracle).max() <= 1e-13
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2])
     def test_vectorised_path_matches_reference_loops(self, dim, p):
-        op = restriction_operator(p)
+        mat = restriction_matrix(p)
         rng = np.random.default_rng(7)
-        fine = rng.standard_normal(op.fine_block_size(dim))
-        assert apply_restriction(op, dim, fine) == pytest.approx(
-            list(apply_restriction_reference(op, dim, fine)), abs=1e-13
+        fine = rng.standard_normal(_block_size(dim, p))
+        assert apply_restriction(mat, dim, fine[None, :])[0] == pytest.approx(
+            list(apply_restriction_reference(mat, dim, fine)), abs=1e-13
         )
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_einsum_branches_bitwise(self, dim, p, extra):
+        n_q = p + 1 + extra
+        mat = restriction_matrix(p, n_q)
+        rng = np.random.default_rng(100 * dim + 10 * p + extra)
+        for m in (1, 7, 300):
+            fine = rng.standard_normal((m, 2**dim * n_q**dim))
+            got = apply_restriction(mat, dim, fine)
+            assert np.array_equal(got, apply_restriction_branches(mat, dim, fine))
 
     def test_conservation_identity_2d_example(self):
         # sum_k w_k^2D coarse_k = (1/4) sum w^2D_q v_q, brute force both sides
-        op = restriction_operator(1)
         rng = np.random.default_rng(99)
-        fine = rng.standard_normal(op.fine_block_size(2))
-        coarse = apply_restriction(op, 2, fine)
+        fine = rng.standard_normal(_block_size(2, 1))
+        coarse = apply_restriction(restriction_matrix(1), 2, fine[None, :])[0]
         w2 = tensor_weights(gauss_legendre(2), 2)
         lhs = float(w2 @ coarse)
         rhs = 0.25 * float(np.tile(w2, 4) @ fine)
@@ -217,21 +261,22 @@ class TestApply:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2])
     def test_conservation_identity_random(self, dim, p):
-        op = restriction_operator(p)
         w = tensor_weights(gauss_legendre(p + 1), dim)
         rng = np.random.default_rng(31 * dim + p)
-        fine = rng.standard_normal((50, op.fine_block_size(dim)))
-        coarse = apply_restriction(op, dim, fine)
+        fine = rng.standard_normal((50, _block_size(dim, p)))
+        coarse = apply_restriction(restriction_matrix(p), dim, fine)
         lhs = coarse @ w
         rhs = fine @ np.tile(w, 2**dim) / 2**dim
         scale = np.maximum(np.abs(rhs), 1e-12)
         assert np.abs(lhs - rhs / 1.0).max() <= 1e-12 * scale.max() + 1e-13
 
     def test_length_mismatch_rejected(self):
-        op = restriction_operator(1)
+        mat = restriction_matrix(1)
         with pytest.raises(ValueError):
-            apply_restriction(op, 2, np.ones(15))
+            apply_restriction(mat, 2, np.ones((1, 15)))
+        with pytest.raises(ValueError):
+            apply_restriction(mat, 2, np.ones(16))  # a batch, not a single block
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):
-            apply_restriction(restriction_operator(1), 4, np.ones(16))
+            apply_restriction(restriction_matrix(1), 4, np.ones((1, 16)))
