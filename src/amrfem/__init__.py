@@ -5,79 +5,47 @@ Galerkin node numbering, intergrid transfer operators (including a
 field-conserving coarsening path built from local quadrature-point
 restriction plus a global mass solve), and drivers for the diffusion and
 Cahn-Hilliard verification studies.
-"""
-from .errors import MeshStateError, NewtonError, SolverError
-from .quadrature import (
-    LagrangeBasis1D,
-    QuadratureRule1D,
-    element_nodal_basis,
-    gauss_legendre,
-    quad_point_basis,
-)
-from .restriction import apply_restriction, restriction_matrix
-from .mesh import (
-    MAX_LEVEL,
-    AdaptPlan,
-    CoarsenRecord,
-    Flag,
-    MeshTopology,
-    RefineRecord,
-    Stage,
-    build_uniform,
-    enumerate_nodes,
-    execute_coarsen,
-    execute_refine,
-)
-from .fem import (
-    GaussField,
-    NodalField,
-    SparseSystem,
-    assemble_mass,
-    assemble_stiffness,
-    eval_at_gauss,
-    eval_grad_at_gauss,
-    integrate_gauss,
-    interpolate_nodal,
-    project_l2,
-    solve_spd,
-)
-from .transfer import (
-    TransferMode,
-    restrict_gauss_field,
-    transfer_coarsen_conservative,
-    transfer_coarsen_injection,
-    transfer_refine,
-)
-from .models import (
-    CahnHilliardProblem,
-    Diagnostics,
-    DiffusionProblem,
-    FloryHugginsFreeEnergy,
-    PolynomialFreeEnergy,
-    ch_step,
-    chemical_potential_init,
-    diffusion_step,
-    energy,
-    make_free_energy,
-    mms_exact,
-    random_mixture_ic,
-)
-from .adapt import (
-    CycleStats,
-    InterfaceCriterion,
-    MmsCriterion,
-    adapt_cycle,
-    element_gradient_norms,
-    mark_interface,
-    mark_mms,
-)
-from .config import ExperimentConfig, parse_config, serialize_config
-from .runs import (
-    convergence_slope,
-    emit_outputs,
-    run_demo1d,
-    run_mms,
-    run_spinodal,
-)
 
+The names below, and the submodules themselves, are resolved on first
+access (PEP 562), so importing one module loads only what that module needs.
+"""
+import importlib
+
+_EXPORTS = {
+    "errors": "MeshStateError NewtonError SolverError",
+    "quadrature": "LagrangeBasis1D QuadratureRule1D element_nodal_basis gauss_legendre "
+    "quad_point_basis",
+    "restriction": "apply_restriction restriction_matrix",
+    "mesh": "MAX_LEVEL AdaptPlan CoarsenRecord Flag MeshTopology RefineRecord Stage build_uniform "
+    "enumerate_nodes execute_coarsen execute_refine",
+    "fem": "GaussField NodalField SparseSystem assemble_mass assemble_stiffness eval_at_gauss "
+    "eval_grad_at_gauss integrate_gauss interpolate_nodal project_l2 solve_spd",
+    "transfer": "TransferMode restrict_gauss_field transfer_coarsen_conservative "
+    "transfer_coarsen_injection transfer_refine",
+    "models": "CahnHilliardProblem Diagnostics DiffusionProblem FloryHugginsFreeEnergy "
+    "PolynomialFreeEnergy ch_step chemical_potential_init diffusion_step energy make_free_energy "
+    "mms_exact random_mixture_ic",
+    "adapt": "CycleStats InterfaceCriterion MmsCriterion adapt_cycle element_gradient_norms "
+    "mark_interface mark_mms",
+    "config": "ExperimentConfig parse_config serialize_config",
+    "runs": "convergence_slope emit_outputs run_demo1d run_mms run_spinodal",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Not cached: a name rebound in its module (a wrapper, a test double)
+    # shows through the package too.
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

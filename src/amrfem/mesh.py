@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshStateError
-from .quadrature import element_nodal_basis
+from .quadrature import child_lattice_values
 
 __all__ = [
     "MAX_LEVEL",
@@ -543,7 +543,9 @@ def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
             ]
         )
 
-    dof_of_node, tmat = _constraint_matrix(mesh, p, node_keys)
+    dof_of_node, tmat = _constraint_matrix(
+        len(node_keys), *_hanging_constraints(mesh, p, node_keys)
+    )
     numbering = NodeNumbering(
         p=p,
         node_keys=node_keys,
@@ -560,34 +562,36 @@ def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
 def _hanging_constraints(mesh: MeshTopology, p: int, node_keys: np.ndarray):
     """Hanging nodes on coarse/fine edges: (nodes, master nodes, weights).
 
-    A fine leaf's edge node that is not also a node of a coarser edge
-    neighbour is constrained to that neighbour's edge nodes with the 1D
-    degree-p interpolation weights at its parametric location. Masters may
-    themselves hang; ``_constraint_matrix`` resolves such chains.
+    A fine leaf's edge node that is not also a node of its coarser edge
+    neighbour hangs. Its masters are the coarse edge's p + 1 nodes and its
+    weights row k of ``child_lattice_values``, k being its offset along the
+    coarse edge in child-node spacings. 2:1 balance keeps every master
+    independent.
     """
+    if mesh.dim == 1:  # faces are points: nothing hangs
+        return np.empty(0, np.int64), np.empty((0, p + 1), np.int64), np.empty((0, p + 1))
     k = np.arange(p + 1, dtype=np.int64)
-    points, xis = [], []
+    points, offsets = [], []
     for axis, side in _faces(2):
         j = neighbour_leaves(mesh, axis, side)
         fine = np.flatnonzero((j >= 0) & (mesh.levels[j] == mesh.levels - 1))
         j = j[fine]
         h = mesh.leaf_sizes[fine]
-        hn = 2 * h
         # Shared edge plane and positions along it, in node-lattice units
-        # (2x anchor resolution).
+        # (2x anchor resolution); child nodes are 2h/p apart.
         plane = 2 * (mesh.anchors[fine, axis] + side * h)
         coarse_lo = 2 * mesh.anchors[j, 1 - axis]
-        master_pos = coarse_lo[:, None] + k * (2 * hn[:, None]) // p
-        my_pos = 2 * mesh.anchors[fine, 1 - axis][:, None] + k * (2 * h[:, None]) // p
-        # Fine edge nodes between the coarse edge's equispaced masters hang.
-        offset = my_pos - coarse_lo[:, None]
-        row, col = np.nonzero(offset % (2 * hn[:, None] // p))
-        pos = my_pos[row, col]
+        # Offsets along the coarse edge in child-node spacings, 0 .. 2p.
+        upper = mesh.anchors[fine, 1 - axis] > mesh.anchors[j, 1 - axis]
+        offset = upper[:, None] * p + k
+        # Masters sit at even offsets; the fine edge nodes between them hang.
+        row, col = np.nonzero(offset % 2)
         # One row per hanging node: the node itself, then its masters.
-        along = np.column_stack([pos, master_pos[row]])
+        steps = np.column_stack([offset[row, col], np.broadcast_to(2 * k, (len(row), p + 1))])
+        along = coarse_lo[row, None] + steps * (2 * h[row, None] // p)
         across = np.broadcast_to(plane[row, None], along.shape)
         points.append((across, along) if axis == 0 else (along, across))
-        xis.append(2.0 * offset[row, col] / (2.0 * hn[row]) - 1.0)
+        offsets.append(offset[row, col])
     keys = np.concatenate([_encode_keys(kx, ky) for kx, ky in points])
     ids = np.minimum(np.searchsorted(node_keys, keys), len(node_keys) - 1)
     missing = np.flatnonzero(node_keys[ids] != keys)
@@ -599,47 +603,37 @@ def _hanging_constraints(mesh: MeshTopology, p: int, node_keys: np.ndarray):
         )
     # Two fine leaves sharing a coarse edge give the same constraint twice.
     nodes, first = np.unique(ids[:, 0], return_index=True)
-    weights = element_nodal_basis(p).values_at(np.concatenate(xis)[first]).T
-    return nodes, ids[first, 1:], weights
+    return nodes, ids[first, 1:], child_lattice_values(p)[np.concatenate(offsets)[first]]
 
 
-def _constraint_matrix(mesh: MeshTopology, p: int, node_keys: np.ndarray):
-    """dof_of_node and T, which maps independent dof values to all node values."""
-    n_nodes = len(node_keys)
-    if mesh.dim == 2:
-        hanging, masters, weights = _hanging_constraints(mesh, p, node_keys)
-    else:  # 1D faces are points: nothing hangs
-        hanging = np.empty(0, np.int64)
-        masters, weights = np.empty((0, p + 1), np.int64), np.empty((0, p + 1))
+def _constraint_matrix(n_nodes: int, hanging, masters, weights):
+    """dof_of_node and T, which maps independent dof values to all node values.
+
+    T is written straight into CSR: one identity row per independent node,
+    and per hanging node its masters (in ascending node order) with their
+    weights. A master that hangs itself raises ``MeshStateError``.
+    """
     is_hanging = np.zeros(n_nodes, dtype=bool)
     is_hanging[hanging] = True
-    independent = np.flatnonzero(~is_hanging)
+    independent = ~is_hanging
     dof_of_node = np.full(n_nodes, -1, dtype=np.int64)
-    dof_of_node[independent] = np.arange(len(independent))
-
-    # Node-to-node map: identity on independent nodes, master weights on
-    # hanging ones.
-    rows = np.concatenate([independent, np.repeat(hanging, p + 1)])
-    cols = np.concatenate([independent, masters.ravel()])
-    vals = np.concatenate([np.ones(len(independent)), weights.ravel()])
-    full = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
-    full = _resolve_chains(full, is_hanging)
-    full.sort_indices()
-    tmat = sp.csr_matrix(
-        (full.data, dof_of_node[full.indices], full.indptr), shape=(n_nodes, len(independent))
+    dof_of_node[independent] = np.arange(n_nodes - len(hanging))
+    master_dofs = dof_of_node[masters]
+    chained = np.flatnonzero((master_dofs < 0).any(axis=1))
+    if chained.size:
+        c = chained[0]
+        raise MeshStateError(
+            f"hanging node {hanging[c]} has master node {masters[c][master_dofs[c] < 0][0]}, "
+            "which hangs too: constraint chains need an unbalanced mesh"
+        )
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.where(is_hanging, masters.shape[1], 1), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.ones(indptr[-1])
+    indices[indptr[:-1][independent]] = dof_of_node[independent]
+    slots = indptr[hanging][:, None] + np.arange(masters.shape[1])
+    indices[slots] = master_dofs
+    data[slots] = weights
+    return dof_of_node, sp.csr_matrix(
+        (data, indices, indptr), shape=(n_nodes, n_nodes - len(hanging))
     )
-    return dof_of_node, tmat
-
-
-def _resolve_chains(full: sp.csr_matrix, is_hanging: np.ndarray) -> sp.csr_matrix:
-    """Node-to-node map whose masters are all independent nodes.
-
-    Squaring the map substitutes each hanging master by its own
-    constraint, so a chain of depth d resolves in log2(d) + 1 rounds; a map
-    still pointing at hanging nodes after that holds a cycle.
-    """
-    for _ in range(int(is_hanging.sum()).bit_length() + 1):
-        if not is_hanging[full.indices].any():
-            return full
-        full = full @ full
-    raise MeshStateError("cyclic hanging-node constraints")

@@ -3,6 +3,9 @@
 Two basis families are provided: the usual element-nodal family (equispaced
 nodes, endpoints included) and the quadrature-point-nodal family whose nodes
 sit at the Gauss points, which is what makes local mass matrices diagonal.
+``child_lattice_values`` tabulates the element-nodal basis on its
+children's node lattice, the one table that refinement and the hanging-node
+constraints read.
 """
 from __future__ import annotations
 
@@ -17,11 +20,12 @@ __all__ = [
     "gauss_legendre",
     "element_nodal_basis",
     "quad_point_basis",
+    "child_lattice_values",
     "tensor_weights",
 ]
 
 # Rules for n <= 5 are pinned as constants so downstream operator matrices are
-# bit-stable; larger rules are computed once at first use.
+# bit-stable.
 _GL_TABLE = {
     1: ((0.0,), (2.0,)),
     2: ((-0.5773502691896257645, 0.5773502691896257645), (1.0, 1.0)),
@@ -71,40 +75,18 @@ class QuadratureRule1D:
     weights: np.ndarray
 
 
-def _legendre_and_deriv(n, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
-
-
 def gauss_legendre(n: int) -> QuadratureRule1D:
     """Return the n-point Gauss-Legendre rule on [-1, 1].
 
-    Small rules come from a pinned table; larger ones use Newton iteration
-    on the Legendre roots.
+    Small rules come from a pinned table; larger ones from numpy's
+    ``leggauss``.
     """
     if n < 1:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
     if n in _GL_TABLE:
         pts, wts = _GL_TABLE[n]
         return QuadratureRule1D(n, np.array(pts), np.array(wts))
-    i = np.arange(n)
-    x = np.cos(np.pi * (4 * i + 3) / (4 * n + 2))
-    for _ in range(100):
-        p, dp = _legendre_and_deriv(n, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-16:
-            break
-    x = 0.5 * (x - x[::-1])  # enforce symmetry exactly
-    _, dp = _legendre_and_deriv(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    return QuadratureRule1D(n, x[order], w[order])
+    return QuadratureRule1D(n, *np.polynomial.legendre.leggauss(n))
 
 
 @dataclass(frozen=True)
@@ -178,6 +160,19 @@ def element_nodal_basis(p: int) -> LagrangeBasis1D:
 def quad_point_basis(p: int) -> LagrangeBasis1D:
     """Degree-p basis whose nodes are the (p+1)-point Gauss abscissae."""
     return _make_basis(gauss_legendre(p + 1).points.copy(), p)
+
+
+@lru_cache(maxsize=None)
+def child_lattice_values(p: int) -> np.ndarray:
+    """Degree-p parent basis on its children's node lattice, read-only (2p+1, p+1).
+
+    Row k holds N_j(-1 + k/p), the parent basis at the k-th child node
+    along an axis. Refinement reads child c's rows c*p ... c*p + p; a
+    hanging node k child-node spacings along a coarse edge reads row k.
+    """
+    table = element_nodal_basis(p).values_at(-1.0 + np.arange(2 * p + 1) / p).T
+    table.flags.writeable = False
+    return table
 
 
 def tensor_weights(rule: QuadratureRule1D, dim: int) -> np.ndarray:

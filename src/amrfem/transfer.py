@@ -15,7 +15,7 @@ import numpy as np
 
 from .fem import GaussField, NodalField, eval_at_gauss, project_l2
 from .mesh import CoarsenRecord, RefineRecord, enumerate_nodes
-from .quadrature import element_nodal_basis
+from .quadrature import child_lattice_values
 from .restriction import apply_restriction, restriction_matrix
 
 __all__ = [
@@ -34,12 +34,15 @@ class TransferMode(Enum):
 
 @lru_cache(maxsize=None)
 def _child_interp(dim: int, p: int, child: int) -> np.ndarray:
-    """Parent basis evaluated at one child's node lattice: (n_loc, n_loc)."""
-    basis = element_nodal_basis(p)
-    nodes = basis.nodes
+    """Parent basis evaluated at one child's node lattice: (n_loc, n_loc).
+
+    The Kronecker product, over the axes, of the rows of
+    ``child_lattice_values`` that hold the child's nodes.
+    """
+    table = child_lattice_values(p)
 
     def one_dim(bit: int) -> np.ndarray:
-        return basis.values_at(0.5 * (nodes + 2 * bit - 1)).T  # (child nodes, parent)
+        return table[bit * p : bit * p + p + 1]  # (child nodes, parent)
 
     if dim == 1:
         return one_dim(child & 1)

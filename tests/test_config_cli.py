@@ -120,6 +120,22 @@ class TestCli:
         rows = [list(map(float, line.split())) for line in proc.stdout.strip().splitlines()]
         assert np.asarray(rows).shape == (3, 6)
 
+    def test_restriction_dump_loads_no_scipy(self):
+        # the package namespace is lazy, so the dump stays off the solver stack
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "amrfem", "restriction", "dump", "--p", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        loaded = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "amrfem.restriction" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
     def test_restriction_dump_rejects_too_few_points(self):
         proc = run_cli("restriction", "dump", "--p", "2", "--nq", "2")
         assert proc.returncode == 2

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 import topology_reference as reference
@@ -17,6 +16,7 @@ from amrfem.mesh import (
     execute_refine,
     sibling_families,
 )
+from amrfem.quadrature import child_lattice_values
 
 
 def refine_plan(mesh, idx=None):
@@ -372,18 +372,36 @@ class TestEnumerateNodes:
         with pytest.raises(MeshStateError, match="not a mesh node"):
             _hanging_constraints(mesh2, 1, np.delete(nn.node_keys, master))
 
-    def test_chained_constraints_resolve_and_cycles_raise(self):
-        # node 0 hangs on 1 and 3, node 1 on 2 and 3; nodes 2 and 3 are free
-        from amrfem.mesh import _resolve_chains
+    def test_chained_or_cyclic_constraints_raise(self):
+        # node 0 hangs on 1 and 3, node 1 on 2 and 3: the master 1 hangs
+        from amrfem.mesh import _constraint_matrix
 
-        is_hanging = np.array([True, True, False, False])
-        rows, cols = [0, 0, 1, 1, 2, 3], [1, 3, 2, 3, 2, 3]
-        vals = [0.5, 0.5, 0.25, 0.75, 1.0, 1.0]
-        full = _resolve_chains(sp.csr_matrix((vals, (rows, cols)), shape=(4, 4)), is_hanging)
-        assert full.toarray()[:2].tolist() == [[0, 0, 0.125, 0.875], [0, 0, 0.25, 0.75]]
-        cycle = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 1, 2], [1, 0, 2])), shape=(3, 3))
-        with pytest.raises(MeshStateError, match="cyclic"):
-            _resolve_chains(cycle, np.array([True, True, False]))
+        hanging, masters = np.array([0, 1]), np.array([[1, 3], [2, 3]])
+        with pytest.raises(MeshStateError, match="hanging node 0 has master node 1"):
+            _constraint_matrix(4, hanging, masters, np.full((2, 2), 0.5))
+        # a cycle is a chain as well
+        cycle = np.array([[1, 2], [0, 2]])
+        with pytest.raises(MeshStateError, match="hanging node 0 has master node 1"):
+            _constraint_matrix(3, hanging, cycle, np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_hanging_rows_are_child_lattice_rows(self, p):
+        # row k of the table, k the node's offset along the coarse edge in
+        # child-node spacings, bit for bit
+        mesh = build_uniform(2, 2)
+        mesh, _ = execute_refine(mesh, refine_plan(mesh, [0, 5, 12]))
+        mesh, _ = execute_refine(mesh, refine_plan(mesh, [3]))
+        nn = enumerate_nodes(mesh, p)
+        t, coords = nn.constraint_matrix, nn.node_coords
+        table = child_lattice_values(p)
+        assert len(nn.hanging) > 4
+        for node, (masters, _) in nn.hanging.items():
+            axis = int(np.argmax(np.abs(coords[masters[-1]] - coords[masters[0]])))
+            lo, hi = coords[masters[0], axis], coords[masters[-1], axis]
+            k = 2 * p * (coords[node, axis] - lo) / (hi - lo)
+            assert k == int(k) and int(k) % 2 == 1
+            row = t.data[t.indptr[node] : t.indptr[node + 1]]
+            assert [v.hex() for v in row.tolist()] == [v.hex() for v in table[int(k)].tolist()]
 
     def test_1d_mesh_has_no_hanging(self):
         mesh = build_uniform(1, 4)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amrfem.quadrature import (
+    child_lattice_values,
     element_nodal_basis,
     gauss_legendre,
     quad_point_basis,
@@ -50,6 +51,22 @@ class TestGaussLegendre:
             exact = 0.0 if k % 2 else 2.0 / (k + 1)
             approx = float(rule.weights @ rule.points**k)
             assert abs(approx - exact) <= 1e-13, (n, k)
+
+
+class TestChildLatticeValues:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bits_are_parent_basis_at_child_nodes(self, p):
+        table = child_lattice_values(p)
+        assert table.shape == (2 * p + 1, p + 1)
+        for k, row in enumerate(table.tolist()):
+            want = element_nodal_basis(p).values_at(-1.0 + k / p)[:, 0].tolist()
+            assert [v.hex() for v in row] == [v.hex() for v in want]
+
+    def test_cached_and_read_only(self):
+        table = child_lattice_values(2)
+        assert child_lattice_values(2) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
 
 
 class TestLagrangeBasis:

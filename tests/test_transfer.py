@@ -17,7 +17,9 @@ from amrfem.mesh import (
     execute_coarsen,
     execute_refine,
 )
+from amrfem.quadrature import child_lattice_values, element_nodal_basis
 from amrfem.transfer import (
+    _child_interp,
     restrict_gauss_field,
     transfer_coarsen_conservative,
     transfer_coarsen_injection,
@@ -90,6 +92,21 @@ class TestTransferRefine:
         _, rec = refine(mesh, [0])
         with pytest.raises(ValueError):
             transfer_refine(f, rec)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_child_interp_is_kron_of_table_rows(self, dim, p):
+        # bit for bit: Kronecker product of rows c*p ... c*p + p per axis,
+        # equal to the parent basis evaluated at the child's node lattice
+        table, basis = child_lattice_values(p), element_nodal_basis(p)
+        for child in range(2**dim):
+            bits = [(child >> axis) & 1 for axis in reversed(range(dim))]  # y, then x
+            rows = [table[b * p : b * p + p + 1] for b in bits]
+            direct = [basis.values_at(0.5 * (basis.nodes + 2 * b - 1)).T for b in bits]
+            got = [v.hex() for v in _child_interp(dim, p, child).ravel().tolist()]
+            for factors in (rows, direct):
+                want = factors[0] if dim == 1 else np.kron(*factors)
+                assert got == [v.hex() for v in want.ravel().tolist()]
 
 
 class TestInjection:
