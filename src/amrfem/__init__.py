@@ -18,9 +18,9 @@ _EXPORTS = {
     "restriction": "apply_restriction restriction_matrix",
     "mesh": "MAX_LEVEL AdaptPlan CoarsenRecord Flag MeshTopology RefineRecord Stage build_uniform "
     "enumerate_nodes execute_coarsen execute_refine",
-    "fem": "GaussField NodalField SparseSystem assemble_mass assemble_stiffness eval_at_gauss "
-    "eval_grad_at_gauss integrate_gauss interpolate_nodal project_l2 solve_spd",
-    "transfer": "TransferMode restrict_gauss_field transfer_coarsen_conservative "
+    "fem": "GaussField LeafField NodalField SparseSystem assemble_mass assemble_stiffness "
+    "eval_at_gauss eval_grad_at_gauss integrate_gauss interpolate_nodal project_l2 solve_spd",
+    "transfer": "TransferMode refine_leaf_field restrict_gauss_field transfer_coarsen_conservative "
     "transfer_coarsen_injection transfer_refine",
     "models": "CahnHilliardProblem Diagnostics DiffusionProblem FloryHugginsFreeEnergy "
     "PolynomialFreeEnergy ch_step chemical_potential_init diffusion_step energy make_free_energy "

@@ -16,9 +16,9 @@ from .mesh import (
 )
 from .transfer import (
     TransferMode,
+    refine_leaf_field,
     transfer_coarsen_conservative,
     transfer_coarsen_injection,
-    transfer_refine,
 )
 
 __all__ = [
@@ -142,6 +142,7 @@ class CycleStats:
     n_refined: int = 0
     n_merged: int = 0
     delta_e: float = 0.0
+    energy: float | None = None  # of the conserved field on the returned mesh, if computed
 
 
 def adapt_cycle(
@@ -155,11 +156,15 @@ def adapt_cycle(
 ):
     """One adaptation cycle: refine stage, then coarsen stage.
 
-    Marking is driven by the conserved field. All fields are transferred to
-    each new mesh; during coarsening each field uses its own TransferMode.
-    When merges happen and an energy functional is supplied, the energy
-    mismatch of the conserved field across the coarsening transfer is
-    recorded.
+    Marking is driven by the conserved field. Only the returned mesh gets a
+    node numbering. The refine stage interpolates every field leaf by leaf
+    onto the refined mesh (``refine_leaf_field``); marking and coarsening
+    read those per-leaf values, and during coarsening each field uses its
+    own TransferMode. When nothing merges, the per-leaf values are scattered
+    onto the refined mesh, as ``transfer_refine`` does. When merges happen
+    and an energy functional is supplied, the energy mismatch of the
+    conserved field across the coarsening transfer is recorded, together
+    with the energy after it.
     """
     mesh = fields[conserved].mesh
     stats = CycleStats()
@@ -169,7 +174,7 @@ def adapt_cycle(
         new_mesh, record = execute_refine(mesh, plan)
         if new_mesh is not mesh:
             stats.n_refined = new_mesh.n_leaves - mesh.n_leaves
-            fields = {k: transfer_refine(f, record) for k, f in fields.items()}
+            fields = {k: refine_leaf_field(f, record) for k, f in fields.items()}
             mesh = new_mesh
 
     plan = criterion.mark(fields[conserved], Stage.COARSEN_STAGE)
@@ -187,10 +192,11 @@ def adapt_cycle(
                 else:
                     new_fields[name] = transfer_coarsen_injection(f, record)
             if energy_fn is not None:
-                stats.delta_e = abs(
-                    float(energy_fn(before)) - float(energy_fn(new_fields[conserved]))
-                )
+                stats.energy = float(energy_fn(new_fields[conserved]))
+                stats.delta_e = abs(float(energy_fn(before)) - stats.energy)
             fields = new_fields
             mesh = new_mesh
 
+    if stats.n_refined and not stats.n_merged:  # the refined mesh is the one returned
+        fields = {k: f.nodal() for k, f in fields.items()}
     return mesh, fields, stats

@@ -22,6 +22,7 @@ from .quadrature import element_nodal_basis, gauss_legendre, tensor_weights
 
 __all__ = [
     "NodalField",
+    "LeafField",
     "GaussField",
     "SparseSystem",
     "eval_at_gauss",
@@ -62,6 +63,43 @@ class NodalField:
     def element_values(self) -> np.ndarray:
         """Per-leaf local node values, constraint-resolved; shape (n_leaves, n_loc)."""
         return self.node_values()[self.numbering.elem_nodes]
+
+
+@dataclass
+class LeafField:
+    """A CG field held leaf by leaf: the rows ``NodalField.element_values``
+    would return, shape (n_leaves, n_loc), without a node numbering.
+
+    Rows of leaves that share a node agree up to round-off. Everything that
+    reads a field only through ``element_values`` (Gauss evaluation, energy,
+    marking, coarsening transfers) accepts one. ``nodal`` scatters the rows
+    through the mesh's numbering, leaves in ``write_order`` (default: Morton
+    order), so the last leaf written sets each shared node.
+    """
+
+    mesh: MeshTopology
+    p: int
+    values: np.ndarray
+    write_order: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        expected = (self.mesh.n_leaves, (self.p + 1) ** self.mesh.dim)
+        if self.values.shape != expected:
+            raise ValueError(f"leaf block shape {self.values.shape} != {expected}")
+
+    def element_values(self) -> np.ndarray:
+        return self.values
+
+    def nodal(self) -> NodalField:
+        nn = enumerate_nodes(self.mesh, self.p)
+        nodes, values = nn.elem_nodes, self.values
+        if self.write_order is not None:
+            nodes = np.take(nodes, self.write_order, axis=0)
+            values = np.take(values, self.write_order, axis=0)
+        node_vals = np.empty(nn.n_nodes)
+        node_vals[nodes] = values
+        return NodalField(self.mesh, self.p, node_vals[nn.dof_of_node >= 0])
 
 
 @dataclass
@@ -170,14 +208,14 @@ def assemble_stiffness(mesh: MeshTopology, p: int, n_q: int | None = None) -> sp
     return _assembled(mesh, p, n_q, "stiff")
 
 
-def eval_at_gauss(field: NodalField, n_q: int | None = None) -> GaussField:
-    """Interpolate nodal values to the per-leaf Gauss lattice."""
+def eval_at_gauss(field: NodalField | LeafField, n_q: int | None = None) -> GaussField:
+    """Interpolate a field's element values to the per-leaf Gauss lattice."""
     n_q = field.p + 1 if n_q is None else n_q
     b = _tables(field.mesh.dim, field.p, n_q)[0]
     return GaussField(field.mesh, field.p, n_q, field.element_values() @ b)
 
 
-def eval_grad_at_gauss(field: NodalField, n_q: int | None = None) -> np.ndarray:
+def eval_grad_at_gauss(field: NodalField | LeafField, n_q: int | None = None) -> np.ndarray:
     """Physical gradients at Gauss points, shape (n_leaves, n_q^dim, dim)."""
     n_q = field.p + 1 if n_q is None else n_q
     grads = _tables(field.mesh.dim, field.p, n_q)[1]

@@ -316,7 +316,7 @@ def run_spinodal(
             completed = False
             failure = f"newton failure at t={t:.6g}: {exc} (trace {exc.trace})"
             break
-        step_delta_e = 0.0
+        step_delta_e, step_energy = 0.0, None
         if step % config.adapt_every == 0:
             t0 = time.perf_counter()
             mesh, fields, stats = adapt_cycle(
@@ -333,8 +333,11 @@ def run_spinodal(
             if stats.n_merged:
                 delta_e_events.append(stats.delta_e)
                 step_delta_e = stats.delta_e
+            step_energy = stats.energy  # phi's energy, when the cycle computed it
+        if step_energy is None:
+            step_energy = energy_fn(phi)
         nn = enumerate_nodes(mesh, p)
-        diag.add(t, _field_mass(phi, n_q), energy_fn(phi), step_delta_e, mesh.n_leaves, nn.n_dofs)
+        diag.add(t, _field_mass(phi, n_q), step_energy, step_delta_e, mesh.n_leaves, nn.n_dofs)
         if snapshots and step % config.snapshot_every == 0:
             write_vtk(
                 os.path.join(snapshots, f"snapshot_{mode}_{step:06d}.vtk"),

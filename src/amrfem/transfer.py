@@ -1,10 +1,15 @@
 """Intergrid transfer between consecutive meshes.
 
 Refinement interpolates parent values at child node locations (exact for the
-represented field, hence conservative). Coarsening comes in two flavours:
-plain injection of coinciding nodal values, and the conservative route that
-restricts Gauss-point data onto merged parents and recovers nodal values by
-a global mass solve.
+represented field, hence conservative). It is element-local: each leaf of
+the refined mesh gets its row of local node values from one source leaf, so
+``refine_leaf_field`` needs no node numbering of the refined mesh, and
+``transfer_refine`` scatters those rows through it. Coarsening comes in two
+flavours, both of which read the fine field only through its element values,
+so they accept a ``LeafField`` from ``refine_leaf_field`` as well as a
+``NodalField``: plain injection of coinciding nodal values, leaf by leaf, and
+the conservative route that restricts Gauss-point data onto merged parents
+and recovers nodal values by a global mass solve on the coarse mesh.
 """
 from __future__ import annotations
 
@@ -13,13 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import GaussField, NodalField, eval_at_gauss, project_l2
-from .mesh import CoarsenRecord, RefineRecord, enumerate_nodes
+from .errors import MeshStateError
+from .fem import GaussField, LeafField, NodalField, eval_at_gauss, project_l2
+from .mesh import CoarsenRecord, RefineRecord
 from .quadrature import child_lattice_values
 from .restriction import apply_restriction, restriction_matrix
 
 __all__ = [
     "TransferMode",
+    "refine_leaf_field",
     "transfer_refine",
     "transfer_coarsen_injection",
     "transfer_coarsen_conservative",
@@ -49,47 +56,80 @@ def _child_interp(dim: int, p: int, child: int) -> np.ndarray:
     return np.kron(one_dim((child & 2) >> 1), one_dim(child & 1))
 
 
+@lru_cache(maxsize=None)
+def _parent_nodes_in_children(dim: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each parent node sits among its children's nodes.
+
+    Returns (child, node), two (n_loc,) arrays: parent node a coincides with
+    local node ``node[a]`` of Morton child ``child[a]``, the first child whose
+    ``_child_interp`` row there is the unit vector e_a.
+    """
+    found = {}
+    for c in range(2**dim):
+        for b, row in enumerate(_child_interp(dim, p, c)):
+            hits = np.flatnonzero(row)
+            if len(hits) == 1 and row[hits[0]] == 1.0:
+                found.setdefault(int(hits[0]), (c, b))
+    child, node = np.array([found[a] for a in range(len(found))]).T
+    return child, node
+
+
+def refine_leaf_field(field: NodalField, record: RefineRecord) -> LeafField:
+    """Parent-to-child transfer, leaf by leaf, onto the refined mesh.
+
+    Unchanged leaves copy their rows of element values; a child takes its
+    parent's row times the parent basis at its nodes. The refined mesh is
+    checked for 2:1 balance but not numbered. The rows are written to the
+    nodes, if at all, unchanged leaves first, then children by child index.
+    """
+    if field.mesh is not record.mesh_old:
+        raise ValueError("field does not live on the record's source mesh")
+    mesh = record.mesh_new
+    if not mesh.is_balanced():
+        raise MeshStateError(f"refinement left no 2:1 balanced tiling: {mesh.defect}")
+    # np.take: row gathers of (n, n_loc) arrays by fancy indexing are several
+    # times slower
+    groups = [np.flatnonzero(record.child_id == cid) for cid in range(-1, 2**mesh.dim)]
+    old = field.element_values()
+    blocks = [np.take(old, record.source_leaf[g], axis=0) for g in groups]
+    blocks[1:] = [b @ _child_interp(mesh.dim, field.p, c).T for c, b in enumerate(blocks[1:])]
+    order = np.concatenate(groups)
+    rows = np.empty((mesh.n_leaves, old.shape[1]))
+    rows[order] = np.concatenate(blocks)
+    return LeafField(mesh, field.p, rows, write_order=order)
+
+
 def transfer_refine(field: NodalField, record: RefineRecord) -> NodalField:
     """Parent-to-child transfer onto the refined mesh.
 
     New nodal values come from evaluating the parent element's basis at the
     child node locations; unchanged leaves copy their values. The represented
-    function is unchanged, so every integral is preserved.
+    function is unchanged, so every integral is preserved. This is
+    ``refine_leaf_field`` followed by one scatter through the refined mesh's
+    numbering.
+    """
+    return refine_leaf_field(field, record).nodal()
+
+
+def transfer_coarsen_injection(
+    field: NodalField | LeafField, record: CoarsenRecord
+) -> NodalField:
+    """Keep fine nodal values that coincide with coarse nodes; drop the rest.
+
+    Leaf-local: an unchanged leaf keeps its row of element values, and a
+    merged parent reads each of its nodes off the child that has it.
     """
     if field.mesh is not record.mesh_old:
         raise ValueError("field does not live on the record's source mesh")
-    if record.mesh_new is record.mesh_old:
-        return NodalField(field.mesh, field.p, field.values.copy())
-    old_elem_vals = field.element_values()
-    nn_new = enumerate_nodes(record.mesh_new, field.p)
-    node_vals = np.zeros(nn_new.n_nodes)
-    for cid in (-1, *range(2**field.mesh.dim)):
-        rows = np.nonzero(record.child_id == cid)[0]
-        if len(rows) == 0:
-            continue
-        vals = old_elem_vals[record.source_leaf[rows]]
-        if cid >= 0:
-            vals = vals @ _child_interp(field.mesh.dim, field.p, cid).T
-        node_vals[nn_new.elem_nodes[rows]] = vals
-    return NodalField(record.mesh_new, field.p, node_vals[nn_new.dof_of_node >= 0])
-
-
-def transfer_coarsen_injection(field: NodalField, record: CoarsenRecord) -> NodalField:
-    """Keep fine nodal values that coincide with coarse nodes; drop the rest."""
-    if field.mesh is not record.mesh_old:
-        raise ValueError("field does not live on the record's source mesh")
-    if record.mesh_new is record.mesh_old:
-        return NodalField(field.mesh, field.p, field.values.copy())
-    nn_old = enumerate_nodes(record.mesh_old, field.p)
-    nn_new = enumerate_nodes(record.mesh_new, field.p)
-    old_vals = field.node_values()
-    new_ind_keys = nn_new.node_keys[nn_new.dof_of_node >= 0]
-    pos = np.searchsorted(nn_old.node_keys, new_ind_keys)
-    if np.any(pos >= len(nn_old.node_keys)) or np.any(
-        nn_old.node_keys[pos] != new_ind_keys
-    ):
-        raise ValueError("coarse node without a coinciding fine node")
-    return NodalField(record.mesh_new, field.p, old_vals[pos])
+    fine = field.element_values()
+    n_loc = fine.shape[1]
+    rows = np.empty((record.mesh_new.n_leaves, n_loc))
+    copies = record.copy_source >= 0
+    rows[copies] = np.take(fine, record.copy_source[copies], axis=0)
+    if len(record.merges):
+        child, node = _parent_nodes_in_children(field.mesh.dim, field.p)
+        rows[~copies] = np.take(fine, record.merges[:, child] * n_loc + node)
+    return LeafField(record.mesh_new, field.p, rows).nodal()
 
 
 def restrict_gauss_field(gf: GaussField, record: CoarsenRecord) -> GaussField:
@@ -112,7 +152,7 @@ def restrict_gauss_field(gf: GaussField, record: CoarsenRecord) -> GaussField:
 
 
 def transfer_coarsen_conservative(
-    field: NodalField,
+    field: NodalField | LeafField,
     record: CoarsenRecord,
     tol: float = 1e-12,
     n_q: int | None = None,
@@ -124,10 +164,10 @@ def transfer_coarsen_conservative(
     with a global mass solve. The global integral survives to solver
     tolerance.
     """
+    if record.mesh_new is record.mesh_old:  # nothing merged: injection copies the values
+        return transfer_coarsen_injection(field, record)
     if field.mesh is not record.mesh_old:
         raise ValueError("field does not live on the record's source mesh")
-    if record.mesh_new is record.mesh_old:
-        return NodalField(field.mesh, field.p, field.values.copy())
     gf_fine = eval_at_gauss(field, n_q)
     gf_coarse = restrict_gauss_field(gf_fine, record)
     return project_l2(gf_coarse, tol=tol)

@@ -216,6 +216,14 @@ def test_criterion_06_mms_convergence(mms_q1_runs, mms_q2_runs):
     )
 
 
+def test_mms_q1_level7_l2_error_matches_benchmark_pin(mms_q1_runs):
+    # perfbench's mms-q1-l7 workload checks the same run against this value;
+    # a change to the coarsen-only path should fail here first
+    pinned = 1.1260521059136358e-05
+    l2 = mms_q1_runs[7].l2_error
+    assert abs(l2 - pinned) <= 1e-6 * pinned, f"L2 {l2!r} != pinned {pinned!r}"
+
+
 # ---------------------------------------------------------------- criterion 7
 def test_criterion_07_mms_mass_drift(mms_q1_runs, mms_q1_injection_l5):
     cons = abs(mms_q1_runs[5].mass_drift_final)

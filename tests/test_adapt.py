@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import transfer_reference as reference
 from amrfem import adapt
 from amrfem.adapt import (
     InterfaceCriterion,
@@ -30,6 +31,34 @@ from amrfem.transfer import TransferMode
 
 def field_mass(f):
     return integrate_gauss(eval_at_gauss(f))
+
+
+class RefineOnly:
+    """Criterion that refines the given leaves and never coarsens."""
+
+    def __init__(self, leaves):
+        self.leaves = leaves
+
+    def mark(self, field, stage):
+        if stage is Stage.COARSEN_STAGE:
+            return None
+        flags = np.zeros(field.mesh.n_leaves, np.int8)
+        flags[self.leaves] = Flag.REFINE
+        return AdaptPlan(stage, flags)
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """(refined mesh, record) of every refine stage adapt_cycle executes."""
+    calls = []
+
+    def recording(mesh, plan):
+        out = execute_refine(mesh, plan)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(adapt, "execute_refine", recording)
+    return calls
 
 
 class TestGradientIndicator:
@@ -217,6 +246,42 @@ class TestAdaptCycle:
         )
         assert stats.n_merged > 0
         assert stats.delta_e >= 0.0
+        assert stats.energy == energy(fields["phi"], prob)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_refine_and_merge_numbers_only_the_returned_mesh(self, p, refine_calls):
+        mesh = build_uniform(2, 3)
+        phi = interpolate_nodal(mesh, p, lambda c: np.tanh((c[:, 0] - 0.5) / 0.05))
+        mu = interpolate_nodal(mesh, p, lambda c: c[:, 1] ** 2)
+        mesh2, fields, stats = adapt_cycle(
+            {"phi": phi, "mu": mu},
+            {"phi": TransferMode.CONSERVATIVE, "mu": TransferMode.INJECTION},
+            "phi",
+            InterfaceCriterion(-0.9, 0.9, 2, 4),
+        )
+        assert stats.n_refined > 0 and stats.n_merged > 0
+        (refined, _), = refine_calls
+        assert not refined._numberings
+        assert refined._balanced is True
+        assert list(mesh2._numberings) == [p]
+        assert all(f.mesh is mesh2 and isinstance(f, NodalField) for f in fields.values())
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_refine_only_scatters_like_transfer_refine(self, p, refine_calls):
+        mesh = build_uniform(2, 2)
+        flags = np.zeros(mesh.n_leaves, np.int8)
+        flags[5] = Flag.REFINE  # hanging nodes around leaf 5's children
+        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+        rng = np.random.default_rng(8)
+        f = NodalField(mesh, p, rng.standard_normal(enumerate_nodes(mesh, p).n_dofs))
+        mesh2, fields, stats = adapt_cycle(
+            {"phi": f}, {"phi": TransferMode.CONSERVATIVE}, "phi", RefineOnly([0, 4, 9])
+        )
+        (refined, record), = refine_calls
+        assert mesh2 is refined and stats.n_refined > 0 and stats.n_merged == 0
+        assert list(refined._numberings) == [p]
+        want = reference.transfer_refine(f, record)
+        assert fields["phi"].values.tobytes() == want.values.tobytes()
 
     def test_plans_never_mix_flags(self):
         mesh = build_uniform(2, 3)

@@ -3,8 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from amrfem import runs
 from amrfem.config import ExperimentConfig
 from amrfem.fem import interpolate_nodal
+from amrfem.models import energy
 from amrfem.mesh import AdaptPlan, Flag, Stage, build_uniform, execute_refine
 from amrfem.runs import convergence_slope, emit_outputs, run_mms, run_spinodal
 from amrfem.vtkio import write_vtk
@@ -71,6 +73,25 @@ class TestSpinodalSmall:
         assert summary["completed"] == "true"
         snapshots = [p for p in os.listdir(tmp_path) if p.endswith(".vtk")]
         assert len(snapshots) == 2  # steps 10 and 20
+
+    def test_energy_evaluated_once_per_field(self, monkeypatch):
+        # a coarsening step evaluates the energy before and after the
+        # transfer; the diagnostics row reuses the second value
+        calls = []
+
+        def counting(phi, problem):
+            calls.append(phi)
+            return energy(phi, problem)
+
+        monkeypatch.setattr(runs, "energy", counting)
+        cfg = ExperimentConfig(
+            kind="spinodal", degree=1, bulk_level=2, interface_level=4,
+            dt=5e-4, t_final=0.005, seed=1, phi0=1.0, amplitude=0.05, mass_tol=1e-13,
+        )
+        res = run_spinodal(cfg, "conservative")
+        n_steps = len(res.diagnostics.times) - 1
+        assert res.delta_e_events
+        assert len(calls) == 1 + n_steps + len(res.delta_e_events)
 
     def test_summary_reports_newton_iterations(self, tmp_path):
         cfg = ExperimentConfig(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import transfer_reference as reference
+from amrfem.errors import MeshStateError
 from amrfem.fem import (
     NodalField,
     assemble_mass,
@@ -11,6 +13,8 @@ from amrfem.fem import (
 from amrfem.mesh import (
     AdaptPlan,
     Flag,
+    MeshTopology,
+    RefineRecord,
     Stage,
     build_uniform,
     enumerate_nodes,
@@ -20,6 +24,7 @@ from amrfem.mesh import (
 from amrfem.quadrature import child_lattice_values, element_nodal_basis
 from amrfem.transfer import (
     _child_interp,
+    refine_leaf_field,
     restrict_gauss_field,
     transfer_coarsen_conservative,
     transfer_coarsen_injection,
@@ -107,6 +112,93 @@ class TestTransferRefine:
             for factors in (rows, direct):
                 want = factors[0] if dim == 1 else np.kron(*factors)
                 assert got == [v.hex() for v in want.ravel().tolist()]
+
+
+def adapted_mesh(dim, rng):
+    """Two rounds of random refinement: hanging nodes in 2D."""
+    mesh = build_uniform(dim, 2)
+    for _ in range(2):
+        pick = rng.choice(mesh.n_leaves, size=max(1, mesh.n_leaves // 4), replace=False)
+        mesh, _ = refine(mesh, pick)
+    return mesh
+
+
+def random_field(mesh, p, rng):
+    return NodalField(mesh, p, rng.standard_normal(enumerate_nodes(mesh, p).n_dofs))
+
+
+def same_bits(a: NodalField, b: NodalField) -> bool:
+    return a.mesh is b.mesh and a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+class TestLeafLocalTransfer:
+    """Refinement and injection number only the mesh they return, and give
+    the values of the numbering versions in ``tests/transfer_reference.py``."""
+
+    def test_refine_matches_numbering_oracle(self, dim, p):
+        rng = np.random.default_rng(100 + 10 * dim + p)
+        for _ in range(5):
+            mesh = adapted_mesh(dim, rng)
+            f = random_field(mesh, p, rng)
+            for pick in (rng.choice(mesh.n_leaves, size=3, replace=False), []):
+                _, rec = refine(mesh, pick)
+                assert same_bits(transfer_refine(f, rec), reference.transfer_refine(f, rec))
+
+    def test_injection_matches_key_search_oracle(self, dim, p):
+        rng = np.random.default_rng(200 + 10 * dim + p)
+        for _ in range(5):
+            mesh = adapted_mesh(dim, rng)
+            assert dim == 1 or enumerate_nodes(mesh, p).hanging
+            f = random_field(mesh, p, rng)
+            for idx in (np.flatnonzero(mesh.levels == mesh.levels.max()), []):
+                _, rec = coarsen(mesh, idx)
+                got = transfer_coarsen_injection(f, rec)
+                assert same_bits(got, reference.transfer_coarsen_injection(f, rec))
+
+    def test_coarsening_a_leaf_field_matches_two_numbering_cycle(self, dim, p):
+        # the adaptation cycle coarsens the per-leaf field on the refined
+        # mesh; the numbering version first scatters it onto that mesh
+        rng = np.random.default_rng(300 + 10 * dim + p)
+        for _ in range(5):
+            mesh = adapted_mesh(dim, rng)
+            f = random_field(mesh, p, rng)
+            refined, rrec = refine(mesh, rng.choice(mesh.n_leaves, size=3, replace=False))
+            leaf = refine_leaf_field(f, rrec)
+            _, crec = coarsen(refined, np.flatnonzero(refined.levels >= mesh.levels.max()))
+            assert len(crec.merges)
+            inj = transfer_coarsen_injection(leaf, crec)
+            cons = transfer_coarsen_conservative(leaf, crec, tol=1e-14)
+            assert not refined._numberings and refined._balanced is True
+            on_refined = reference.transfer_refine(f, rrec)
+            want_inj = reference.transfer_coarsen_injection(on_refined, crec)
+            want_cons = transfer_coarsen_conservative(on_refined, crec, tol=1e-14)
+            assert np.abs(inj.values - want_inj.values).max() <= 1e-13
+            assert np.abs(cons.values - want_cons.values).max() <= 1e-13
+
+    def test_coarsening_nothing_copies_the_field(self, dim, p):
+        rng = np.random.default_rng(400 + 10 * dim + p)
+        mesh = adapted_mesh(dim, rng)
+        f = random_field(mesh, p, rng)
+        refined, rrec = refine(mesh, rng.choice(mesh.n_leaves, size=3, replace=False))
+        leaf, want = refine_leaf_field(f, rrec), transfer_refine(f, rrec)
+        for transfer in (transfer_coarsen_injection, transfer_coarsen_conservative):
+            assert same_bits(transfer(f, coarsen(mesh, [])[1]), f)
+            # leaves are written in Morton order here, not in refinement order
+            got = transfer(leaf, coarsen(refined, [])[1])
+            assert got.mesh is refined
+            assert np.abs(got.values - want.values).max() <= 1e-13
+
+    def test_refined_mesh_is_balance_checked_not_numbered(self, dim, p):
+        mesh = build_uniform(dim, 2)
+        f = interpolate_nodal(mesh, p, lambda c: c[:, 0])
+        n = mesh.n_leaves - 1  # drop the last leaf: a gap at the domain end
+        holed = MeshTopology(dim, mesh.levels[:n], mesh.anchors[:n])
+        rec = RefineRecord(mesh, holed, np.arange(n), np.full(n, -1))
+        with pytest.raises(MeshStateError, match="does not end at the domain end"):
+            refine_leaf_field(f, rec)
+        assert not holed._numberings
 
 
 class TestInjection:
