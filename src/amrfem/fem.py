@@ -170,14 +170,20 @@ def _scatter_vector(nn: NodeNumbering, elem_vecs: np.ndarray) -> np.ndarray:
 
 
 def _scatter_matrix(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
-    """Constrained global matrix T' A T from per-leaf matrices (n_leaves, n_loc, n_loc)."""
-    n_loc = elem_mats.shape[1]
-    rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
-    cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
-    a = sp.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
-    del rows, cols  # release the triplets before T'AT, or they add to the peak memory
+    """Constrained global matrix T' A T from per-leaf matrices (n_leaves, n_loc, n_loc).
+
+    A is summed through the numbering's cached ``summation_map``, bit for bit
+    as a COO-to-CSR sum would, so all operators on a numbering share one sort.
+    """
+    sums, indptr, indices = nn.summation_map
+    data = sums @ elem_mats.ravel()
+    shape = (nn.n_nodes, nn.n_nodes)
+    if nn.n_dofs == nn.n_nodes:  # T = I, and T'AT is A without its exact zeros
+        a = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+        a.eliminate_zeros()
+        return a
     t = nn.constraint_matrix
-    return (t.T @ (a @ t)).tocsr()
+    return (t.T @ (sp.csr_matrix((data, indices, indptr), shape=shape) @ t)).tocsr()
 
 
 def _assembled(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr_matrix:

@@ -458,6 +458,45 @@ class NodeNumbering:
         return tt
 
     @cached_property
+    def summation_map(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """(S, indptr, indices): A = sum_e A_e over all geometric nodes is the
+        CSR matrix (S @ elem_mats.ravel(), indices, indptr).
+
+        Row k of S holds ones at the element entries, (leaf, a, b) raveled,
+        that sum into A.data[k], in the order ``coo_matrix.tocsr()`` sums
+        them. SciPy itself gives that order: its COO-to-CSR conversion and
+        per-row index sort run once on entry numbers instead of values (the
+        sort is unstable, so no numpy sort reproduces it for p = 2). S's
+        matvec then adds the terms one by one, so A is bit-identical to
+        the COO sum and each numbering sorts its element entries once.
+        """
+        elem = self.elem_nodes.astype(np.int32)
+        n_loc = elem.shape[1]
+        n_entries = elem.size * n_loc
+        coo = sp.coo_matrix(
+            (
+                np.arange(n_entries, dtype=np.int32),
+                (np.repeat(elem, n_loc, axis=1).ravel(), np.tile(elem, (1, n_loc)).ravel()),
+            ),
+            shape=(self.n_nodes, self.n_nodes),
+        )
+        coo.has_canonical_format = True  # convert without summing duplicates
+        terms = coo.tocsr()
+        del coo  # free the triplets before the map's own arrays are allocated
+        terms.sort_indices()
+        # A sum starts where the column changes. A row never starts on the
+        # previous row's last column: the pattern is symmetric with a full diagonal.
+        first = np.ones(n_entries, dtype=bool)
+        np.not_equal(terms.indices[1:], terms.indices[:-1], out=first[1:])
+        starts = np.flatnonzero(first).astype(np.int32)
+        sums = sp.csr_matrix(
+            (np.ones(n_entries), terms.data, np.append(starts, np.int32(n_entries))),
+            shape=(len(starts), n_entries),
+        )
+        indptr = np.searchsorted(starts, terms.indptr).astype(np.int32)
+        return sums, indptr, np.take(terms.indices, starts)
+
+    @cached_property
     def dissection_order(self) -> np.ndarray:
         """Independent dofs in geometric nested-dissection order.
 

@@ -143,9 +143,9 @@ def restrict_gauss_field(gf: GaussField, record: CoarsenRecord) -> GaussField:
     n_new = record.mesh_new.n_leaves
     out = np.empty((n_new, gf.values.shape[1]))
     copies = record.copy_source >= 0
-    out[copies] = gf.values[record.copy_source[copies]]
+    out[copies] = np.take(gf.values, record.copy_source[copies], axis=0)
     if len(record.merges):
-        blocks = gf.values[record.merges].reshape(len(record.merges), -1)
+        blocks = np.take(gf.values, record.merges, axis=0).reshape(len(record.merges), -1)
         matrix = restriction_matrix(gf.p, gf.n_q)
         out[~copies] = apply_restriction(matrix, gf.mesh.dim, blocks)
     return GaussField(record.mesh_new, gf.p, gf.n_q, out)

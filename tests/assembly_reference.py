@@ -4,8 +4,10 @@ These are the four hand-written copies of the element gather, weight,
 scatter and constrain code that ``fem._element_rule``, ``_scatter_vector``
 and ``_scatter_matrix`` replace: the mass/stiffness operator and the load
 vector of ``fem``, and the f'(phi) vector and f''(phi) matrix of the
-Cahn-Hilliard Newton system. ``tests/test_fem.py`` requires the kernels to
-reproduce them bit for bit.
+Cahn-Hilliard Newton system. ``scatter_matrix_reference`` is the COO sum
+and T' A T product that ``fem._scatter_matrix`` replaces with a cached
+summation map. ``tests/test_fem.py`` requires the kernels to reproduce them
+bit for bit.
 """
 from __future__ import annotations
 
@@ -30,6 +32,20 @@ def _node_operator(mesh: MeshTopology, nn: NodeNumbering, n_q: int, kind: str) -
     cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
     data = (scale[:, None, None] * ref[None, :, :]).ravel()
     return sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
+
+
+def element_sum_reference(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
+    """A = sum_e A_e over all geometric nodes, by a fresh COO-to-CSR sum."""
+    n_loc = elem_mats.shape[1]
+    rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
+    cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
+    return sp.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
+
+
+def scatter_matrix_reference(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
+    """T' A T from per-leaf matrices, with both products even when T = I."""
+    t = nn.constraint_matrix
+    return (t.T @ (element_sum_reference(nn, elem_mats) @ t)).tocsr()
 
 
 def assembled_reference(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr_matrix:

@@ -4,7 +4,9 @@ import scipy.sparse as sp
 
 from amrfem.errors import SolverError
 from amrfem.fem import (
+    _gauss_mass,
     _gauss_rhs,
+    _scatter_matrix,
     GaussField,
     NodalField,
     SparseSystem,
@@ -19,11 +21,14 @@ from amrfem.fem import (
     solve_spd,
 )
 from amrfem.mesh import (
+    MAX_LEVEL,
     AdaptPlan,
     Flag,
+    NodeNumbering,
     Stage,
     build_uniform,
     enumerate_nodes,
+    execute_coarsen,
     execute_refine,
 )
 from amrfem.models import (
@@ -312,3 +317,70 @@ def test_assembly_kernels_match_per_module_reference(dim, p, n_q_extra, energy):
         format="csr",
     )
     _assert_same_csr(jacobian(u), want)
+
+
+def _coarsened_level7():
+    """A level-7 mesh coarsened twice outside a disc, as the MMS runs coarsen
+    where the solution is smooth; hanging nodes ring the disc."""
+    mesh = build_uniform(2, 7)
+    for _ in range(2):
+        half = (1 << (MAX_LEVEL - mesh.levels))[:, None] // 2
+        centres = np.ldexp((mesh.anchors + half).astype(float), -MAX_LEVEL)
+        flags = np.where(np.hypot(*(centres - 0.5).T) > 0.3, Flag.COARSEN, Flag.NO_CHANGE)
+        mesh, _ = execute_coarsen(mesh, AdaptPlan(Stage.COARSEN_STAGE, flags.astype(np.int8)))
+    return mesh
+
+
+def _structure(m):
+    """m's sparsity pattern with unit values: products of it never cancel."""
+    return sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("case", ["uniform-l6", "coarsened-l7"])
+def test_scatter_matrix_matches_coo_reference_at_benchmark_scale(case, p):
+    # the summation map, and the skipped T'AT on conforming meshes, give the
+    # COO sum and both scipy products bit for bit at benchmark sizes
+    mesh = build_uniform(2, 6) if case == "uniform-l6" else _coarsened_level7()
+    nn = enumerate_nodes(mesh, p)
+    assert (nn.n_nodes > nn.n_dofs) == (case == "coarsened-l7")
+    rng = np.random.default_rng(5 + p)
+    shape = (mesh.n_leaves, (p + 1) ** 2, (p + 1) ** 2)
+    # small integers cancel exactly, in sums and against T's dyadic weights;
+    # the normals make a wrong order of summation visible in the last bit
+    ints = rng.choice([-8.0, -6.0, -3.0, -1.0, 1.0, 3.0, 6.0, 8.0], shape)
+    elem_mats = np.where(rng.random(shape) < 0.3, rng.standard_normal(shape), ints)
+    want = ref.scatter_matrix_reference(nn, elem_mats)
+    _assert_same_csr(_scatter_matrix(nn, elem_mats), want)
+
+    # scipy prunes exact zeros of A, and cancellations of its own in AT and T'AT
+    a = ref.element_sum_reference(nn, elem_mats)
+    assert np.count_nonzero(a.data == 0) > 0
+    if case == "coarsened-l7":
+        t = nn.constraint_matrix
+        a.eliminate_zeros()
+        at = a @ t
+        assert (_structure(a) @ abs(t)).nnz > at.nnz
+        assert (abs(t).T @ _structure(at)).nnz > want.nnz
+
+
+def test_one_summation_map_per_numbering(monkeypatch):
+    # mass, stiffness and every f''-weighted mass on a numbering share one sort
+    builds = []
+    original = NodeNumbering.__dict__["summation_map"]
+
+    def counted(nn):
+        builds.append(nn.p)
+        return original.func(nn)
+
+    prop = type(original)(counted)  # the same caching descriptor, counting its builds
+    prop.__set_name__(NodeNumbering, "summation_map")
+    monkeypatch.setattr(NodeNumbering, "summation_map", prop)
+    mesh = refined_mesh(2, (0, 5))
+    for p in (1, 2):
+        assemble_mass(mesh, p)
+        assemble_stiffness(mesh, p)
+        gf = eval_at_gauss(interpolate_nodal(mesh, p, lambda c: c[:, 0] * c[:, 1]))
+        _gauss_mass(gf)
+        _gauss_mass(gf)
+    assert builds == [1, 2]
