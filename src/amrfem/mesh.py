@@ -7,8 +7,14 @@ whose key is not above the point's (the linear-octree search of Sundar,
 Sampath & Biros, SISC 2008), so a whole array of neighbour queries is one
 ``searchsorted``. Refinement and coarsening act one level at a time; 2:1
 edge balance is enforced by promoting extra leaves during refinement and by
-vetoing merges during coarsening. Node enumeration builds the
-continuous-Galerkin numbering for a given degree, including the
+vetoing merges during coarsening. Each mesh keeps one face-neighbour table,
+which the balance check, the refine closure, the coarsen veto and the
+hanging-node constraints all read. A uniform mesh searches all its faces
+once; a refined or coarsened mesh inherits its parent's table and searches
+again only the faces of new leaves and of copies whose old neighbour was
+split or merged (p4est likewise keeps its neighbour data across an
+adaptation: Burstedde, Wilcox & Ghattas, SISC 2011). Node enumeration
+builds the continuous-Galerkin numbering for a given degree, including the
 hanging-node constraint matrix on coarse/fine interfaces.
 """
 from __future__ import annotations
@@ -152,32 +158,24 @@ class MeshTopology:
 
     @cached_property
     def _face_neighbours(self) -> np.ndarray:
-        """neighbour_leaves for every face, one row per (axis, side)."""
-        probes = np.repeat(self.anchors[None], 2 * self.dim, axis=0)
-        for row, (axis, side) in enumerate(_faces(self.dim)):
-            probes[row, :, axis] += self.leaf_sizes if side else -self.leaf_sizes
-        return self.containing_leaves(probes.reshape(-1, self.dim)).reshape(2 * self.dim, -1)
+        """neighbour_leaves for every face, one row per (axis, side).
 
-    def locate(self, point) -> int:
-        """Leaf containing ``point``; face ties go to the smaller anchor."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.shape != (self.dim,):
-            raise ValueError(f"expected a {self.dim}-vector, got shape {point.shape}")
-        if np.any(point < 0.0) or np.any(point > 1.0):
-            raise ValueError(f"point {point} outside the unit domain")
-        lattice = []
-        for x in point:
-            v = x * _DOMAIN
-            i = int(np.floor(v))
-            if i == v and i > 0:
-                i -= 1  # tie toward the lexicographically smaller anchor
-            lattice.append(min(i, _DOMAIN - 1))
-        lattice = np.array([lattice], dtype=np.int64)
-        idx = int(self.containing_leaves(lattice)[0])
-        offset = lattice[0] - self.anchors[idx]
-        if np.any(offset < 0) or np.any(offset >= self.leaf_sizes[idx]):
-            raise MeshStateError(f"no leaf contains {point}")
-        return idx
+        ``execute_refine`` and ``execute_coarsen`` set it on the meshes they
+        make (see ``_inherit_face_neighbours``); other meshes search all
+        faces on first use.
+        """
+        return self._search_faces(slice(None))
+
+    def _search_faces(self, leaves) -> np.ndarray:
+        """Leaves across every face of ``leaves``, one row per (axis, side).
+
+        The probe is the anchor of the same-size cell across the face.
+        """
+        sizes = self.leaf_sizes[leaves]
+        probes = np.repeat(self.anchors[leaves][None], 2 * self.dim, axis=0)
+        for row, (axis, side) in enumerate(_faces(self.dim)):
+            probes[row, :, axis] += sizes if side else -sizes
+        return self.containing_leaves(probes.reshape(-1, self.dim)).reshape(2 * self.dim, -1)
 
     def is_balanced(self) -> bool:
         """The leaves tile the domain and edge neighbours differ by at most one level.
@@ -222,7 +220,8 @@ def neighbour_leaves(mesh: MeshTopology, axis: int, side: int) -> np.ndarray:
     Returns, per leaf, the leaf containing the anchor of the same-size cell
     across the face normal to ``axis`` (``side`` 0 = low, 1 = high): the
     neighbour itself when it is as coarse or coarser, else the finer leaf in
-    that cell's anchor corner. All faces are searched at once, on first use.
+    that cell's anchor corner. Read from the mesh's face-neighbour table:
+    inherited through refine and coarsen, else searched once for all faces.
     """
     return mesh._face_neighbours[2 * axis + side]
 
@@ -328,9 +327,36 @@ def execute_refine(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, R
     split = flags[src]
     cid = np.where(split, rank, -1)
     half = mesh.leaf_sizes[src] >> 1
-    new_anchors = mesh.anchors[src] + _child_offsets(mesh.dim, 1)[rank] * half[:, None]
+    offsets = _child_offsets(mesh.dim, 1)[rank] * half[:, None]
+    new_anchors = np.take(mesh.anchors, src, axis=0) + offsets
     new_mesh = MeshTopology(mesh.dim, levels[src] + split, new_anchors)
+    _inherit_face_neighbours(mesh, new_mesh, src, split)
     return new_mesh, RefineRecord(mesh, new_mesh, src, cid)
+
+
+def _inherit_face_neighbours(
+    old: MeshTopology, new: MeshTopology, source: np.ndarray, fresh: np.ndarray
+) -> None:
+    """Set ``new``'s face-neighbour table from ``old``'s.
+
+    New leaf n comes from old leaf ``source[n]``: a copy of it, or, where
+    ``fresh[n]``, a child or merged parent of it. A copy keeps its face
+    probes, and an old neighbour that is itself copied still contains the
+    probe, so such entries only change index. The faces of fresh leaves,
+    and of copies with an old neighbour that was split or merged, are
+    searched again. When most leaves are fresh, the table is left to the
+    search of all faces on first use, which is then cheaper.
+    """
+    if 2 * np.count_nonzero(fresh) > new.n_leaves:
+        return
+    new_of_old = np.full(old.n_leaves, -1)
+    copies = np.flatnonzero(~fresh)
+    new_of_old[source[copies]] = copies
+    j = np.take(old._face_neighbours, source, axis=1)
+    table = np.where(j >= 0, new_of_old[j], -1)
+    redo = np.flatnonzero(fresh | np.any((j >= 0) & (table < 0), axis=0))
+    table[:, redo] = new._search_faces(redo)
+    new._face_neighbours = table
 
 
 def sibling_families(mesh: MeshTopology, eligible: np.ndarray) -> np.ndarray:
@@ -352,16 +378,6 @@ def sibling_families(mesh: MeshTopology, eligible: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-# Probe cells of child size around a parent, in units of the child size:
-# two per face (left, right, bottom, top), one per end in 1D.
-_PROBES = {
-    1: np.array([[-1], [2]], dtype=np.int64),
-    2: np.array(
-        [[-1, 0], [-1, 1], [2, 0], [2, 1], [0, -1], [1, -1], [0, 2], [1, 2]], dtype=np.int64
-    ),
-}
-
-
 def execute_coarsen(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, CoarsenRecord]:
     """Merge flagged sibling families, vetoing merges that would break 2:1.
 
@@ -377,15 +393,24 @@ def execute_coarsen(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, 
     coarsen = plan.flags == Flag.COARSEN
     starts = sibling_families(mesh, coarsen) if coarsen.any() else np.empty(0, np.int64)
 
-    # A probe cell beside the parent is settled when its containing leaf is
-    # no finer than the children. Otherwise the merge survives only if that
-    # leaf is the first child of a live candidate one level finer, which
-    # merges up to the children's level itself.
+    # The child-size cells beside the parent are its children's outer face
+    # neighbours: child c borders face (axis, side) when bit ``axis`` of c is
+    # ``side``. Such a cell is settled when its containing leaf is no finer
+    # than the children. Otherwise the merge survives only if that leaf is
+    # the first child of a live candidate one level finer, which merges up
+    # to the children's level itself.
     dim = mesh.dim
+    nchild = 2**dim
+    rows, kids = np.array(
+        [
+            (2 * axis + side, c)
+            for axis, side in _faces(dim)
+            for c in range(nchild)
+            if (c >> axis) & 1 == side
+        ]
+    ).T
+    j = mesh._face_neighbours[rows, starts[:, None] + kids]
     child_level = mesh.levels[starts][:, None]
-    child_size = mesh.leaf_sizes[starts][:, None, None]
-    probes = mesh.anchors[starts][:, None, :] + _PROBES[dim] * child_size
-    j = mesh.containing_leaves(probes.reshape(-1, dim)).reshape(probes.shape[:2])
     settled = (j < 0) | (mesh.levels[j] <= child_level)
     pending = ~settled & (mesh.levels[j] == child_level + 1)
     alive = np.all(settled | pending, axis=1)
@@ -398,7 +423,6 @@ def execute_coarsen(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, 
             break
         alive = survivors
     starts = starts[alive]
-    nchild = 2**dim
     merges = starts[:, None] + np.arange(nchild)
     if not starts.size:
         return mesh, CoarsenRecord(mesh, mesh, np.arange(mesh.n_leaves), merges)
@@ -409,7 +433,8 @@ def execute_coarsen(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, 
     head[starts] = True
     kept = np.flatnonzero(~merging | head)  # a merged parent takes its first child's place
     parent = head[kept]
-    new_mesh = MeshTopology(dim, mesh.levels[kept] - parent, mesh.anchors[kept])
+    new_mesh = MeshTopology(dim, mesh.levels[kept] - parent, np.take(mesh.anchors, kept, axis=0))
+    _inherit_face_neighbours(mesh, new_mesh, kept, parent)
     rec = CoarsenRecord(mesh, new_mesh, np.where(parent, -1, kept), merges)
     return new_mesh, rec
 

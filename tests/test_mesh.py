@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import topology_reference as reference
 from amrfem.errors import MeshStateError
@@ -14,6 +14,7 @@ from amrfem.mesh import (
     enumerate_nodes,
     execute_coarsen,
     execute_refine,
+    neighbour_leaves,
     sibling_families,
 )
 from amrfem.quadrature import child_lattice_values
@@ -104,23 +105,23 @@ class TestBuildUniform:
 class TestLocate:
     def test_examples_level1(self):
         mesh = build_uniform(2, 1)
-        assert mesh.locate((0.1, 0.1)) == 0
-        assert mesh.locate((0.6, 0.1)) == 1  # bit0 = x
-        assert mesh.locate((0.6, 0.6)) == 3
+        assert reference.locate(mesh, (0.1, 0.1)) == 0
+        assert reference.locate(mesh, (0.6, 0.1)) == 1  # bit0 = x
+        assert reference.locate(mesh, (0.6, 0.6)) == 3
 
     def test_face_tie_goes_to_smaller_anchor(self):
         mesh = build_uniform(2, 1)
-        assert mesh.locate((0.5, 0.1)) == 0
+        assert reference.locate(mesh, (0.5, 0.1)) == 0
 
     def test_outside_domain(self):
         mesh = build_uniform(2, 1)
         with pytest.raises(ValueError):
-            mesh.locate((1.2, 0.0))
+            reference.locate(mesh, (1.2, 0.0))
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_located_leaf_contains_point(self, x, y):
         mesh = _adapted_fixture()
-        idx = mesh.locate((x, y))
+        idx = reference.locate(mesh, (x, y))
         h = float(mesh.leaf_sizes_physical[idx])
         lo = mesh.anchors[idx].astype(float) / (1 << MAX_LEVEL)
         assert lo[0] <= x <= lo[0] + h + 1e-15
@@ -235,10 +236,11 @@ class TestExecuteCoarsen:
         # (level 2) next to level-4 leaves, so its only candidate is vetoed
         mesh = build_uniform(2, 2)
         mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0, 1]))
-        mesh3, _ = execute_refine(mesh2, refine_plan(mesh2, [mesh2.locate((0.26, 0.01))]))
+        right = reference.locate(mesh2, (0.26, 0.01))
+        mesh3, _ = execute_refine(mesh2, refine_plan(mesh2, [right]))
         assert brute_force_balanced(mesh3)
         corners = ((0.01, 0.01), (0.2, 0.01), (0.01, 0.2), (0.2, 0.2))
-        left = [mesh3.locate(point) for point in corners]
+        left = [reference.locate(mesh3, point) for point in corners]
         plan = coarsen_plan(mesh3, left)
         assert len(sibling_families(mesh3, plan.flags == Flag.COARSEN)) == 1
         mesh4, record = execute_coarsen(mesh3, plan)
@@ -520,3 +522,62 @@ class TestAgainstLoopReference:
                 mesh = new
                 _assert_numbering_matches(mesh)
             assert mesh.levels.max() <= 9
+
+
+def _searched_faces(mesh):
+    """containing_leaves over every face probe, without the mesh's table."""
+    dim = mesh.dim
+    probes = np.repeat(mesh.anchors[None], 2 * dim, axis=0)
+    for axis in range(dim):
+        probes[2 * axis, :, axis] -= mesh.leaf_sizes
+        probes[2 * axis + 1, :, axis] += mesh.leaf_sizes
+    return mesh.containing_leaves(probes.reshape(-1, dim)).reshape(2 * dim, -1)
+
+
+def _adapt_checked(mesh, plan):
+    """Apply ``plan`` and check the new mesh's face-neighbour table.
+
+    Returns the new mesh and, if it inherited its table from ``mesh``, the
+    kind of step: "refine", "cascade" (the closure split unflagged leaves),
+    "coarsen" or "veto" (a complete flagged family was kept).
+    """
+    if plan.stage is Stage.REFINE_STAGE:
+        new, record = execute_refine(mesh, plan)
+        split = np.count_nonzero(record.child_id == 0)
+        kind = "cascade" if split > np.count_nonzero(plan.flags == Flag.REFINE) else "refine"
+    else:
+        new, record = execute_coarsen(mesh, plan)
+        families = len(sibling_families(mesh, plan.flags == Flag.COARSEN))
+        kind = "veto" if len(record.merges) < families else "coarsen"
+    if new is mesh:
+        return new, None
+    inherited = "_face_neighbours" in vars(new)
+    faces = [(axis, side) for axis in range(new.dim) for side in (0, 1)]
+    table = np.stack([neighbour_leaves(new, axis, side) for axis, side in faces])
+    assert np.array_equal(table, _searched_faces(new))
+    assert np.array_equal(table, reference.face_neighbours(new))
+    assert (table == -1).any()  # boundary faces
+    return new, kind if inherited else None
+
+
+class TestInheritedFaceTable:
+    """Refined and coarsened meshes inherit their face-neighbour table exactly."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2]), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_equals_fresh_search(self, dim, level, seed):
+        rng = np.random.default_rng(seed)
+        mesh = build_uniform(dim, level + (dim == 1))
+        for _ in range(8):
+            mesh, _ = _adapt_checked(mesh, _random_plan(rng, mesh, max_level=8))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_inheritance_covers_cascades_and_vetoes(self, dim):
+        rng = np.random.default_rng(5 + dim)
+        seen = set()
+        for _ in range(6):
+            mesh = build_uniform(dim, 3 + (dim == 1))
+            for _ in range(10):
+                mesh, kind = _adapt_checked(mesh, _random_plan(rng, mesh, max_level=8))
+                seen.add(kind)
+        assert {"refine", "cascade", "coarsen", "veto"} <= seen

@@ -1,12 +1,14 @@
 """Per-leaf loop implementations of the quadtree topology, kept as an oracle.
 
 These are the dict-walking loops that ``amrfem.mesh`` replaced with its
-vectorised Morton neighbour search: the 2:1 balance check, the refine
-balance closure and child construction, sibling-family detection, the
-coarsen veto fixpoint and mesh rebuild, and the hanging-node constraints
-with their chain folding. ``tests/test_mesh.py`` requires the library to
-reproduce their results exactly. They are slow (a dict lookup per leaf,
-per direction, per level walked) and only meant for small meshes.
+vectorised Morton neighbour search: the face-neighbour table, the 2:1
+balance check, the refine balance closure and child construction,
+sibling-family detection, the coarsen veto fixpoint and mesh rebuild, and
+the hanging-node constraints with their chain folding.
+``tests/test_mesh.py`` requires the library to reproduce their results
+exactly. They are slow (a dict lookup per leaf, per direction, per level
+walked) and only meant for small meshes. ``locate`` is a test helper that
+finds the leaf under a physical point.
 """
 from __future__ import annotations
 
@@ -36,6 +38,46 @@ def find_containing(lookup: dict, level: int, anchor: tuple) -> int | None:
         if idx is not None:
             return idx
     return None
+
+
+def locate(mesh: MeshTopology, point) -> int:
+    """Leaf containing the physical ``point``; face ties go to the smaller anchor."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    if point.shape != (mesh.dim,):
+        raise ValueError(f"expected a {mesh.dim}-vector, got shape {point.shape}")
+    if np.any(point < 0.0) or np.any(point > 1.0):
+        raise ValueError(f"point {point} outside the unit domain")
+    lattice = []
+    for x in point:
+        v = x * _DOMAIN
+        i = int(np.floor(v))
+        if i == v and i > 0:
+            i -= 1  # tie toward the lexicographically smaller anchor
+        lattice.append(min(i, _DOMAIN - 1))
+    lattice = np.array([lattice], dtype=np.int64)
+    idx = int(mesh.containing_leaves(lattice)[0])
+    offset = lattice[0] - mesh.anchors[idx]
+    if np.any(offset < 0) or np.any(offset >= mesh.leaf_sizes[idx]):
+        raise MeshStateError(f"no leaf contains {point}")
+    return idx
+
+
+def face_neighbours(mesh: MeshTopology) -> np.ndarray:
+    """The leaf containing each face probe, one row per (axis, side), -1 outside.
+
+    The probe of a face is the anchor of the same-size cell across it; the
+    containing leaf is found by walking up from the mesh's finest level.
+    """
+    lookup = leaf_lookup(mesh)
+    finest = int(mesh.levels.max())
+    table = np.full((2 * mesh.dim, mesh.n_leaves), -1, dtype=np.int64)
+    for i in range(mesh.n_leaves):
+        anchor = tuple(int(v) for v in mesh.anchors[i])
+        cells = _face_cells(mesh.dim, anchor, 1 << (MAX_LEVEL - int(mesh.levels[i])))
+        for row, cell in enumerate(cells):
+            if all(0 <= v < _DOMAIN for v in cell):
+                table[row, i] = find_containing(lookup, finest, cell)
+    return table
 
 
 def _face_cells(dim: int, anchor: tuple, h: int):
