@@ -145,6 +145,11 @@ class CycleStats:
     energy: float | None = None  # of the conserved field on the returned mesh, if computed
 
 
+def _release_operators(mesh) -> None:
+    for nn in mesh._numberings.values():
+        nn.release_operators()
+
+
 def adapt_cycle(
     fields: dict[str, NodalField],
     modes: dict[str, TransferMode],
@@ -165,6 +170,12 @@ def adapt_cycle(
     and an energy functional is supplied, the energy mismatch of the
     conserved field across the coarsening transfer is recorded, together
     with the energy after it.
+
+    As soon as a stage returns a new mesh, every numbering of the mesh it
+    replaces releases its operators (``NodeNumbering.release_operators``),
+    before any transfer assembles on the new mesh: the transfers still read
+    the old fields, but no old operator. A cycle that returns its input mesh
+    releases nothing, so operators cached on a static mesh survive it.
     """
     mesh = fields[conserved].mesh
     stats = CycleStats()
@@ -173,6 +184,7 @@ def adapt_cycle(
     if plan is not None and np.any(plan.flags == Flag.REFINE):
         new_mesh, record = execute_refine(mesh, plan)
         if new_mesh is not mesh:
+            _release_operators(mesh)
             stats.n_refined = new_mesh.n_leaves - mesh.n_leaves
             fields = {k: refine_leaf_field(f, record) for k, f in fields.items()}
             mesh = new_mesh
@@ -181,6 +193,7 @@ def adapt_cycle(
     if plan is not None and np.any(plan.flags == Flag.COARSEN):
         new_mesh, record = execute_coarsen(mesh, plan)
         if len(record.merges):
+            _release_operators(mesh)
             stats.n_merged = len(record.merges)
             before = fields[conserved]
             new_fields = {}

@@ -174,6 +174,9 @@ def _scatter_matrix(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
 
     A is summed through the numbering's cached ``summation_map``, bit for bit
     as a COO-to-CSR sum would, so all operators on a numbering share one sort.
+    T'(AT) is two CSR products with the cached T' (``constraint_transpose``,
+    sorted columns): each entry sums its terms in ascending node order, as
+    SciPy's CSC product of ``T.T`` does, without its CSC temporaries.
     """
     sums, indptr, indices = nn.summation_map
     data = sums @ elem_mats.ravel()
@@ -182,8 +185,11 @@ def _scatter_matrix(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
         a = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
         a.eliminate_zeros()
         return a
-    t = nn.constraint_matrix
-    return (t.T @ (sp.csr_matrix((data, indices, indptr), shape=shape) @ t)).tocsr()
+    a = nn.constraint_transpose @ (
+        sp.csr_matrix((data, indices, indptr), shape=shape) @ nn.constraint_matrix
+    )
+    a.sort_indices()
+    return a
 
 
 def _assembled(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr_matrix:

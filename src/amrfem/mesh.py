@@ -448,6 +448,14 @@ class NodeNumbering:
     per node. Hanging nodes carry no degree of freedom; their values are
     weighted sums of independent master nodes. ``constraint_matrix`` maps
     independent dof values to values at all geometric nodes.
+
+    The operator caches are ``cache`` (assembled mass and stiffness, the
+    diffusion step's operators and the Cahn-Hilliard LU factor, keyed by
+    tuples whose first item names the kind) and the derived properties
+    ``summation_map``, ``constraint_transpose`` and ``dissection_order``.
+    All are rebuilt on first use, so ``release_operators`` may free them at
+    any time; the keys, coordinates, ``elem_nodes``, ``dof_of_node``, T and
+    ``hanging``, which transfers read, are never released.
     """
 
     p: int
@@ -551,6 +559,18 @@ class NodeNumbering:
         short = dim * bits - depth
         padded = path | ((np.int64(1) << short) - 1)
         return np.argsort((padded << 6) | short, kind="stable")
+
+    def release_operators(self, kind: str | None = None) -> None:
+        """Free the operator caches; each is rebuilt by the same code on its next use.
+
+        With ``kind``, only the ``cache`` entries of that kind go (a stale LU
+        factor, say); without, the whole cache and the derived properties go.
+        """
+        for key in [k for k in self.cache if kind is None or k[0] == kind]:
+            del self.cache[key]
+        if kind is None:
+            for name in ("summation_map", "constraint_transpose", "dissection_order"):
+                self.__dict__.pop(name, None)
 
     def node_values(self, dof_values: np.ndarray) -> np.ndarray:
         """Values at every geometric node, hanging ones constraint-resolved."""

@@ -315,6 +315,12 @@ def _ch_substep(
     not, since f'' grows there; on its desk run the pivot-free factor still
     gave the same meshes and Newton iterations as partial pivoting. A zero
     pivot raises NewtonError with the mesh size and dt.
+
+    The factor is cached on the numbering under ``("ch_lu", dt, mobility,
+    eps2, n_q)`` for the next step. Before a refactorisation builds its
+    Jacobian, every cached factor of the numbering is released
+    (``NodeNumbering.release_operators("ch_lu")``), so one L+U is alive at a
+    time and a half-step retry's factor replaces the full step's.
     """
     mesh, p = phi.mesh, phi.p
     residual, jacobian = ch_residual_and_jacobian(phi, mu, problem, dt)
@@ -335,6 +341,8 @@ def _ch_substep(
     history = []  # (update, image) of the iterations since the last factorisation
     while True:
         if refactor:
+            lu = jac = None  # free the stale factor before its successor's Jacobian exists
+            nn.release_operators("ch_lu")
             # Take the rows in factor order and relabel the columns: the
             # conversion to CSC then yields sorted columns without a sort.
             jac = jacobian(u)[perm]

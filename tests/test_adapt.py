@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transfer_reference as reference
-from amrfem import adapt
+from amrfem import adapt, fem
 from amrfem.adapt import (
     InterfaceCriterion,
     MmsCriterion,
@@ -20,12 +20,19 @@ from amrfem.fem import (
 from amrfem.mesh import (
     AdaptPlan,
     Flag,
+    MeshTopology,
     Stage,
     build_uniform,
     enumerate_nodes,
     execute_refine,
 )
-from amrfem.models import CahnHilliardProblem, energy, random_mixture_ic
+from amrfem.models import (
+    CahnHilliardProblem,
+    DiffusionProblem,
+    diffusion_step,
+    energy,
+    random_mixture_ic,
+)
 from amrfem.transfer import TransferMode
 
 
@@ -282,6 +289,60 @@ class TestAdaptCycle:
         assert list(refined._numberings) == [p]
         want = reference.transfer_refine(f, record)
         assert fields["phi"].values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("case", ["coarsen-only", "refine-and-coarsen"])
+    def test_replaced_mesh_holds_no_operator_when_the_coarse_mass_is_built(
+        self, case, monkeypatch
+    ):
+        mesh = build_uniform(2, 4)
+        if case == "coarsen-only":
+            fn = lambda c: 1.0 + 0.1 * np.cos(2 * np.pi * c[:, 0]) * np.cos(2 * np.pi * c[:, 1])
+            crit = MmsCriterion(tau=2e-2, fine_level=4)
+        else:
+            fn = lambda c: np.tanh((c[:, 0] - 0.5) / 0.05)
+            crit = InterfaceCriterion(-0.9, 0.9, 3, 5)
+        f = interpolate_nodal(mesh, 1, fn)
+        diffusion_step(f, DiffusionProblem())  # caches mass, stiffness and the step's operators
+        nn = enumerate_nodes(mesh, 1)
+        derived = ("summation_map", "constraint_transpose", "dissection_order")
+        for name in derived:
+            getattr(nn, name)
+        assert len(nn.cache) == 3 and all(name in vars(nn) for name in derived)
+        built = []
+        real = fem.assemble_mass
+
+        def checking(m, p, n_q=None):
+            if m is not mesh:
+                assert not nn.cache and not any(name in vars(nn) for name in derived)
+                built.append(m)
+            return real(m, p, n_q)
+
+        monkeypatch.setattr(fem, "assemble_mass", checking)
+        mesh2, fields, stats = adapt_cycle(
+            {"phi": f}, {"phi": TransferMode.CONSERVATIVE}, "phi", crit, project_tol=1e-14
+        )
+        assert stats.n_merged > 0 and built == [mesh2]
+        assert (stats.n_refined > 0) == (case == "refine-and-coarsen")
+        # the numbering stays, and its operators come back as a fresh mesh builds them
+        assert enumerate_nodes(mesh, 1) is nn
+        fresh = NodalField(MeshTopology(2, mesh.levels, mesh.anchors), 1, f.values)
+        want = diffusion_step(fresh, DiffusionProblem()).values
+        assert diffusion_step(f, DiffusionProblem()).values.tobytes() == want.tobytes()
+
+    def test_cycle_that_keeps_its_mesh_keeps_its_operators(self):
+        mesh = build_uniform(2, 3)
+        f = interpolate_nodal(mesh, 1, lambda c: c[:, 0] * c[:, 1])
+        diffusion_step(f, DiffusionProblem())
+        nn = enumerate_nodes(mesh, 1)
+        cached, sums = dict(nn.cache), nn.summation_map
+        # no leaf at the fine level: the coarsen stage has nothing to merge
+        mesh2, _, stats = adapt_cycle(
+            {"phi": f}, {"phi": TransferMode.CONSERVATIVE}, "phi", MmsCriterion(1.0, 4)
+        )
+        assert mesh2 is mesh and stats.n_merged == 0
+        assert nn.cache.keys() == cached.keys()
+        assert all(nn.cache[k] is v for k, v in cached.items())
+        assert nn.summation_map is sums
 
     def test_plans_never_mix_flags(self):
         mesh = build_uniform(2, 3)

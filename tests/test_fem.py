@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from amrfem.adapt import InterfaceCriterion, adapt_cycle
 from amrfem.errors import SolverError
 from amrfem.fem import (
     _gauss_mass,
@@ -331,19 +332,37 @@ def _coarsened_level7():
     return mesh
 
 
+def _interface_l4_l8():
+    """Levels 4 to 8 around a circle, as the adaptation benchmark's set-up
+    refines a uniform level-4 mesh toward an interface; ~960 hanging nodes."""
+    mesh = build_uniform(2, 4)
+    crit = InterfaceCriterion(-0.9, 0.9, 4, 8)
+    for _ in range(4):
+        marker = interpolate_nodal(
+            mesh, 1, lambda c: np.tanh((np.hypot(c[:, 0] - 0.5, c[:, 1] - 0.5) - 0.25) / 2**-7)
+        )
+        mesh, _, _ = adapt_cycle({"marker": marker}, {}, "marker", crit)
+    return mesh
+
+
 def _structure(m):
     """m's sparsity pattern with unit values: products of it never cancel."""
     return sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
 
 
 @pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("case", ["uniform-l6", "coarsened-l7"])
+@pytest.mark.parametrize("case", ["uniform-l6", "coarsened-l7", "interface-l4-l8"])
 def test_scatter_matrix_matches_coo_reference_at_benchmark_scale(case, p):
-    # the summation map, and the skipped T'AT on conforming meshes, give the
-    # COO sum and both scipy products bit for bit at benchmark sizes
-    mesh = build_uniform(2, 6) if case == "uniform-l6" else _coarsened_level7()
+    # the summation map, the skipped T'AT on conforming meshes and the CSR
+    # product with the cached T' give the COO sum and both scipy products
+    # bit for bit at benchmark sizes
+    mesh = {
+        "uniform-l6": lambda: build_uniform(2, 6),
+        "coarsened-l7": _coarsened_level7,
+        "interface-l4-l8": _interface_l4_l8,
+    }[case]()
     nn = enumerate_nodes(mesh, p)
-    assert (nn.n_nodes > nn.n_dofs) == (case == "coarsened-l7")
+    assert (nn.n_nodes > nn.n_dofs) == (case != "uniform-l6")
     rng = np.random.default_rng(5 + p)
     shape = (mesh.n_leaves, (p + 1) ** 2, (p + 1) ** 2)
     # small integers cancel exactly, in sums and against T's dyadic weights;
@@ -356,7 +375,7 @@ def test_scatter_matrix_matches_coo_reference_at_benchmark_scale(case, p):
     # scipy prunes exact zeros of A, and cancellations of its own in AT and T'AT
     a = ref.element_sum_reference(nn, elem_mats)
     assert np.count_nonzero(a.data == 0) > 0
-    if case == "coarsened-l7":
+    if case != "uniform-l6":
         t = nn.constraint_matrix
         a.eliminate_zeros()
         at = a @ t

@@ -398,6 +398,40 @@ class TestChStep:
         assert len(traces) == 3 and len(traces[0]) > 1
         assert iters == sum(len(t) - 1 for t in traces)
 
+    def test_one_factor_alive_at_every_factorisation(self, monkeypatch):
+        # every splu runs after the stale factor left the numbering: on a
+        # refactorisation within a step, and on a half-step retry, whose
+        # factor replaces the failed full step's
+        prob = CahnHilliardProblem(dt=1e-3)
+        mesh = build_uniform(2, 4)
+        nn = enumerate_nodes(mesh, 1)
+        lu_keys = lambda: [k for k in nn.cache if k[0] == "ch_lu"]
+        calls = []
+
+        class RecordingLinalg:
+            def splu(self, a, **kwargs):
+                assert not lu_keys()
+                calls.append(a.shape)
+                return spla.splu(a, **kwargs)
+
+        monkeypatch.setattr(models, "spla", RecordingLinalg())
+        phi = random_mixture_ic(mesh, 1, 0.0, 0.9, 3)
+        mu = chemical_potential_init(phi, prob)
+        phi, mu, _ = ch_step(phi, mu, prob)
+        assert len(calls) == 2 and len(lu_keys()) == 1
+        real = models._ch_substep
+
+        def failing_full_step(phi, mu, problem, dt, start=None):
+            out = real(phi, mu, problem, dt, start)
+            if dt == problem.dt:
+                raise NewtonError("forced failure", out[2])
+            return out
+
+        monkeypatch.setattr(models, "_ch_substep", failing_full_step)
+        ch_step(phi, mu, prob)
+        assert len(calls) > 2
+        assert lu_keys() == [("ch_lu", prob.dt / 2, prob.mobility, prob.eps2, prob.n_q)]
+
     def test_substep_is_independent_of_blas_threads(self):
         # OpenBLAS splits dot products above 10,000 entries across threads;
         # the Newton norms and Gram entries must not see that
