@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NodalField, _element_rule, eval_at_gauss, eval_grad_at_gauss
+from .fem import NodalField, _element_rule, _square_sum, eval_at_gauss, eval_grad_at_gauss
 from .mesh import (
     AdaptPlan,
     Flag,
@@ -39,7 +39,7 @@ def element_gradient_norms(field: NodalField) -> np.ndarray:
     """
     grads = eval_grad_at_gauss(field)
     w, jac = _element_rule(field.mesh, field.p, field.p + 1)
-    sq = np.sum(grads * grads, axis=-1) @ w
+    sq = _square_sum(grads) @ w
     return np.sqrt(np.maximum(sq * jac, 0.0))
 
 

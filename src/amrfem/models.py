@@ -19,6 +19,7 @@ from .fem import (
     SparseSystem,
     _gauss_mass,
     _gauss_rhs,
+    _square_sum,
     assemble_mass,
     assemble_stiffness,
     eval_at_gauss,
@@ -288,12 +289,28 @@ def _ch_substep(
     factorisation, and the Jacobian is refactorised at the current iterate
     when an iteration cuts the residual by less than a factor 4.
 
-    Mass stays exact whatever the start: the first block row of J is the
-    exact, state-independent linearisation of the mass equation, and
-    1'K = 0, so every chord image g satisfies 1'M g_phi = 1'M phi_old; an
-    iterate is an affine combination of images, so it does too. The
-    residual norms and Gram entries are numpy pairwise sums (``_norm``), so
-    the iteration does not depend on the BLAS thread count.
+    Mass is exact by construction: each chord image g gets its phi part
+    shifted by the constant c = (w'phi_old - w'g_phi) / sum(w), where
+    w = M 1 holds the column sums of the constrained mass matrix. Because
+    T 1 = 1, the dof vector 1 is the constant function even with hanging
+    nodes, so w'phi is the integral of phi and the shift is the
+    M-orthogonal correction onto the old mass (P. E. Farrell and
+    J. R. Maddison, CMAME 2011). An iterate is an affine combination of
+    images, so it keeps the mass too, whatever the start and whatever the
+    accuracy of the factor. The residual norms and Gram entries are numpy
+    pairwise sums (``_norm``), so the iteration does not depend on the BLAS
+    thread count.
+
+    The factor is only a preconditioner, so it is single precision: the
+    permuted Jacobian is cast to float32 for SuperLU, each right-hand side
+    is cast to float32 and each update promoted back, while the residual,
+    the mixing, the norms and the iterate stay in float64. The chord
+    iteration converges to the float64 residual with any factor that
+    contracts, and a float32 factor's own error (a relative solve residual
+    of about 2.5e-4 on the level-6 desk Jacobian) is far below the 1/4
+    contraction that the refactorisation threshold accepts from a frozen
+    Jacobian, so the iteration counts barely move (A. Buttari, J. Dongarra,
+    J. Kurzak, P. Luszczek and S. Tomov, ACM TOMS 2008).
 
     SuperLU factorises the Jacobian symmetrically permuted into the mesh's
     nested-dissection order of the dofs (``NodeNumbering.dissection_order``),
@@ -312,9 +329,9 @@ def _ch_substep(
     mobility * dt * max|f''|^2 < 4 eps2: then every symmetric permutation of
     J has an LU without pivoting. The polynomial double well meets this at
     the desk dt, eps2 and mobility. Flory-Huggins near its pure phases does
-    not, since f'' grows there; on its desk run the pivot-free factor still
-    gave the same meshes and Newton iterations as partial pivoting. A zero
-    pivot raises NewtonError with the mesh size and dt.
+    not, since f'' grows there; on its desk run the pivot-free factor (then
+    in float64) still gave the same meshes and Newton iterations as partial
+    pivoting. A zero pivot raises NewtonError with the mesh size and dt.
 
     The factor is cached on the numbering under ``("ch_lu", dt, mobility,
     eps2, n_q)`` for the next step. Before a refactorisation builds its
@@ -332,6 +349,9 @@ def _ch_substep(
     slot = np.empty_like(perm)
     slot[perm] = np.arange(2 * n)
     lu_key = ("ch_lu", dt, problem.mobility, problem.eps2, problem.n_q)
+    w = assemble_mass(mesh, p, problem.n_q) @ np.ones(n)
+    w_sum = np.add.reduce(w)
+    mass_old = np.add.reduce(w * phi.values)
     u = np.concatenate([phi.values, mu.values]) if start is None else np.array(start, dtype=float)
     r = residual(u)
     trace = [_norm(r)]
@@ -346,7 +366,9 @@ def _ch_substep(
             # Take the rows in factor order and relabel the columns: the
             # conversion to CSC then yields sorted columns without a sort.
             jac = jacobian(u)[perm]
-            jac = sp.csr_matrix((jac.data, slot[jac.indices], jac.indptr), shape=jac.shape).tocsc()
+            jac = sp.csr_matrix(
+                (jac.data.astype(np.float32), slot[jac.indices], jac.indptr), shape=jac.shape
+            ).tocsc()
             try:
                 lu = spla.splu(
                     jac,
@@ -370,7 +392,8 @@ def _ch_substep(
                 f"(residuals {trace[0]:.3e} -> {trace[-1]:.3e})",
                 trace,
             )
-        update = -np.take(lu.solve(np.take(r, perm)), slot)
+        update = -np.take(lu.solve(np.take(r, perm).astype(np.float32)), slot).astype(float)
+        update[:n] += (mass_old - np.add.reduce(w * (u[:n] + update[:n]))) / w_sum
         history = history[-2:] + [(update, u + update)]
         u = _anderson(history)
         r = residual(u)
@@ -416,7 +439,7 @@ def energy(phi: NodalField, problem) -> float:
     n_q = getattr(problem, "n_q", None) or (phi.p + 1)
     gf = eval_at_gauss(phi, n_q)
     grads = eval_grad_at_gauss(phi, n_q)
-    density = fe.f(gf.values) + 0.5 * problem.eps2 * np.sum(grads * grads, axis=-1)
+    density = fe.f(gf.values) + 0.5 * problem.eps2 * _square_sum(grads)
     return integrate_gauss(replace(gf, values=density))
 
 

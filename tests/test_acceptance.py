@@ -3,6 +3,8 @@
 Heavy simulations are shared through module-scoped fixtures. Runtime budgets
 are asserted alongside the numerical tolerances.
 """
+import io
+import os
 import subprocess
 import sys
 import time
@@ -373,8 +375,6 @@ def test_criterion_10_property_suites_and_determinism(tmp_path):
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(cfg_text)
     blobs = []
-    import os
-
     for name, threads in (("t1", "1"), ("t4", "4")):
         out = tmp_path / name
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
@@ -395,3 +395,35 @@ def test_criterion_10_property_suites_and_determinism(tmp_path):
         f"property suites (quadrature exactness, partition of unity, Kronecker "
         f"oracle, Newton-Jacobian FD, conservation) run in this session ({elapsed:.0f}s)",
     )
+
+
+def test_criterion_10_determinism_at_benchmark_size(tmp_path):
+    # the desk spinodal at interface level 6, as the benchmark runs it, for
+    # 60 steps: the mesh stays uniform for 45 steps and then coarsens at most
+    # steps, so the run refactorises the Cahn-Hilliard Jacobian on several
+    # meshes, and SuperLU and the PCG call BLAS under either thread count
+    desk = os.path.join(os.path.dirname(__file__), "..", "configs", "spinodal_poly.cfg")
+    with open(desk) as fh:
+        cfg_text = fh.read()
+    cfg_path = tmp_path / "desk.cfg"
+    cfg_path.write_text(
+        cfg_text.replace("t_final = 0.5", "t_final = 0.03").replace(
+            "snapshot_every = 200", "snapshot_every = 0"
+        )
+    )
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "amrfem", "spinodal", "--config", str(cfg_path),
+             "--mode", "conservative", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((out / "diagnostics_conservative.csv").read_bytes())
+    rows = np.genfromtxt(io.BytesIO(blobs[0]), delimiter=",", names=True)
+    assert len(rows) == 61 and rows["num_elements"][0] == 4096
+    assert len(np.unique(rows["num_elements"])) >= 5  # five or more meshes
+    assert np.count_nonzero(rows["delta_E_coarsen"]) >= 5
+    assert blobs[0] == blobs[1]

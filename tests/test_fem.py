@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from amrfem.adapt import InterfaceCriterion, adapt_cycle
+from amrfem import models
+from amrfem.adapt import InterfaceCriterion, adapt_cycle, element_gradient_norms
 from amrfem.errors import SolverError
 from amrfem.fem import (
+    _element_rule,
     _gauss_mass,
     _gauss_rhs,
     _scatter_matrix,
+    _square_sum,
     GaussField,
     NodalField,
     SparseSystem,
@@ -270,6 +275,38 @@ def _assert_same_csr(got, want):
     assert np.array_equal(got.data, want.data)
 
 
+def kernel_test_mesh(dim):
+    """A refined mesh: non-uniform in 1D, with hanging nodes in 2D."""
+    if dim == 1:
+        mesh = build_uniform(1, 3)
+        flags = np.zeros(mesh.n_leaves, np.int8)
+        flags[[1, 2, 6]] = Flag.REFINE
+        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+        return mesh
+    return refined_mesh(2, (0, 5, 9))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_square_sums_match_the_axis_reduction(dim, p):
+    # energy and the gradient indicator sum squared gradient components one
+    # at a time; that must equal the reduction over the last axis bit for bit
+    mesh = kernel_test_mesh(dim)
+    nn = enumerate_nodes(mesh, p)
+    assert dim == 1 or nn.n_nodes > nn.n_dofs
+    phi = NodalField(mesh, p, np.random.default_rng(5 + dim + p).uniform(-1.0, 1.0, nn.n_dofs))
+    grads = eval_grad_at_gauss(phi)
+    sq = np.sum(grads * grads, axis=-1)
+    assert np.array_equal(_square_sum(grads), sq)
+
+    problem = CahnHilliardProblem()
+    gf = eval_at_gauss(phi)
+    density = problem.free_energy.f(gf.values) + 0.5 * problem.eps2 * sq
+    assert models.energy(phi, problem) == integrate_gauss(replace(gf, values=density))
+    w, jac = _element_rule(mesh, p, p + 1)
+    assert np.array_equal(element_gradient_norms(phi), np.sqrt(np.maximum((sq @ w) * jac, 0.0)))
+
+
 @pytest.mark.parametrize("energy", ["polynomial", "flory_huggins"])
 @pytest.mark.parametrize("n_q_extra", [None, 2])
 @pytest.mark.parametrize("p", [1, 2])
@@ -278,13 +315,7 @@ def test_assembly_kernels_match_per_module_reference(dim, p, n_q_extra, energy):
     # the fem kernels reproduce the hand-written per-module assembly bit for
     # bit: mass, stiffness, load vector, f'(phi) vector and f''(phi) matrix
     n_q = None if n_q_extra is None else p + n_q_extra
-    if dim == 1:
-        mesh = build_uniform(1, 3)
-        flags = np.zeros(mesh.n_leaves, np.int8)
-        flags[[1, 2, 6]] = Flag.REFINE
-        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
-    else:
-        mesh = refined_mesh(2, (0, 5, 9))
+    mesh = kernel_test_mesh(dim)
     nn = enumerate_nodes(mesh, p)
     assert dim == 1 or nn.n_nodes > nn.n_dofs  # 2D cases carry hanging nodes
     for kind, assemble in (("mass", assemble_mass), ("stiff", assemble_stiffness)):
