@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _check_band
 from .fem import NodalField, _element_rule, _square_sum, eval_at_gauss, eval_grad_at_gauss
 from .mesh import (
     AdaptPlan,
@@ -87,6 +88,7 @@ class InterfaceCriterion:
     def __post_init__(self):
         if self.bulk_level >= self.interface_level:
             raise ValueError("bulk level must be below interface level")
+        _check_band(self.band_lo, self.band_hi, self.closed)
 
     def mark(self, field: NodalField, stage: Stage) -> AdaptPlan:
         return mark_interface(field, self, stage)

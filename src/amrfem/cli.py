@@ -2,8 +2,9 @@
 
 Subcommands mirror the experiments: ``demo1d``, ``mms``, ``spinodal``, and
 ``restriction dump``. Imports are deferred per subcommand so the quick
-matrix dump does not pay for the solver stack. Exit code 0 means every
-internal sanity assertion passed.
+matrix dump does not pay for the solver stack, and SuperLU loads only with
+the first Cahn-Hilliard factorisation, so ``mms`` and ``demo1d`` never load
+it. Exit code 0 means every internal sanity assertion passed.
 """
 from __future__ import annotations
 

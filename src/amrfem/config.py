@@ -68,8 +68,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown transfer mode {self.mode!r}")
         if self.free_energy not in ("polynomial", "flory_huggins"):
             raise ValueError(f"unknown free energy {self.free_energy!r}")
-        if self.kind == "spinodal" and self.bulk_level >= self.interface_level:
-            raise ValueError("bulk_level must be below interface_level")
+        if self.kind == "spinodal":
+            if self.bulk_level >= self.interface_level:
+                raise ValueError("bulk_level must be below interface_level")
+            _check_band(self.band_lo, self.band_hi, self.band_closed)
         if self.adapt_every < 1:
             raise ValueError("adapt_every must be >= 1")
         for name in ("dt", "t_final", "mass_tol", "newton_tol"):
@@ -84,6 +86,16 @@ class ExperimentConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         return self
+
+
+def _check_band(lo: float, hi: float, closed: bool) -> None:
+    """Reject an interface band that no value can lie in (a NaN bound included)."""
+    if not lo <= hi or (lo == hi and not closed):
+        need = "at most" if closed else "below"
+        band = f"[{lo!r}, {hi!r}]" if closed else f"({lo!r}, {hi!r})"
+        raise ValueError(
+            f"band_lo ({lo!r}) must be {need} band_hi ({hi!r}): the band {band} holds no value"
+        )
 
 
 _SECTIONS: dict[str, tuple[str, ...]] = {

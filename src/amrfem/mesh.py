@@ -164,15 +164,17 @@ class MeshTopology:
         make (see ``_inherit_face_neighbours``); other meshes search all
         faces on first use.
         """
-        return self._search_faces(slice(None))
+        return self._search_faces()
 
-    def _search_faces(self, leaves) -> np.ndarray:
-        """Leaves across every face of ``leaves``, one row per (axis, side).
+    def _search_faces(self, leaves=None) -> np.ndarray:
+        """Leaves across every face of ``leaves`` (default all), one row per (axis, side).
 
         The probe is the anchor of the same-size cell across the face.
         """
-        sizes = self.leaf_sizes[leaves]
-        probes = np.repeat(self.anchors[leaves][None], 2 * self.dim, axis=0)
+        sizes, anchors = self.leaf_sizes, self.anchors
+        if leaves is not None:
+            sizes, anchors = sizes[leaves], np.take(anchors, leaves, axis=0)
+        probes = np.repeat(anchors[None], 2 * self.dim, axis=0)
         for row, (axis, side) in enumerate(_faces(self.dim)):
             probes[row, :, axis] += sizes if side else -sizes
         return self.containing_leaves(probes.reshape(-1, self.dim)).reshape(2 * self.dim, -1)
@@ -454,8 +456,9 @@ class NodeNumbering:
     tuples whose first item names the kind) and the derived properties
     ``summation_map``, ``constraint_transpose`` and ``dissection_order``.
     All are rebuilt on first use, so ``release_operators`` may free them at
-    any time; the keys, coordinates, ``elem_nodes``, ``dof_of_node``, T and
-    ``hanging``, which transfers read, are never released.
+    any time; the keys, coordinates, ``elem_nodes``, ``dof_of_node`` and T,
+    which transfers read, are never released. ``hanging`` is a lazily built
+    view of T for diagnostics; no solver or transfer reads it.
     """
 
     p: int

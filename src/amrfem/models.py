@@ -4,14 +4,20 @@ Both use continuous Galerkin in space with homogeneous Neumann boundaries.
 Diffusion is integrated with theta-weighted (default Crank-Nicolson) steps;
 Cahn-Hilliard uses fully implicit backward Euler on the split (phi, mu)
 system solved by Newton.
+
+``models.spla`` is the one seam for the sparse direct solver
+(``scipy.sparse.linalg``): it loads on first access, which is the first
+Cahn-Hilliard factorisation unless something reads it earlier, so the
+diffusion path never loads SuperLU. Rebinding ``models.spla`` swaps the
+solver for every later factorisation, before or after that first load.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NewtonError
 from .fem import (
@@ -44,6 +50,16 @@ __all__ = [
     "energy",
     "random_mixture_ic",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: runs only while ``spla`` is unbound, then the import binds it.
+    if name == "spla":
+        global spla
+        import scipy.sparse.linalg as spla
+
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -370,7 +386,8 @@ def _ch_substep(
                 (jac.data.astype(np.float32), slot[jac.indices], jac.indptr), shape=jac.shape
             ).tocsc()
             try:
-                lu = spla.splu(
+                # an attribute read, not a bare name, so the first one loads SuperLU
+                lu = sys.modules[__name__].spla.splu(
                     jac,
                     permc_spec="NATURAL",
                     diag_pivot_thresh=0.0,

@@ -180,6 +180,20 @@ class TestMarkInterface:
         plan = mark_interface(g, self.crit(), Stage.COARSEN_STAGE)
         assert not np.any(plan.flags == Flag.COARSEN)  # already at bulk level
 
+    @pytest.mark.parametrize(
+        "lo, hi, closed", [(0.7, 0.3, True), (0.7, 0.3, False), (0.5, 0.5, False), (-0.9, np.nan, True)]
+    )
+    def test_band_that_holds_no_value_rejected(self, lo, hi, closed):
+        # no sample could mark an interface, so every cycle would coarsen to bulk
+        with pytest.raises(ValueError, match=rf"band_lo \({lo}\).*band_hi \({hi}\)"):
+            self.crit(lo, hi, closed)
+
+    def test_single_value_closed_band_accepted(self):
+        mesh = build_uniform(2, 3)
+        f = interpolate_nodal(mesh, 1, lambda c: np.full(len(c), 0.5))
+        plan = mark_interface(f, self.crit(0.5, 0.5), Stage.REFINE_STAGE)
+        assert np.all(plan.flags == Flag.REFINE)
+
     def test_gauss_samples_counted_not_only_nodes(self):
         # Q2 bump: nodes outside the band, interior Gauss values inside
         mesh = build_uniform(2, 0)

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import os
 import subprocess
 import sys
@@ -65,11 +66,36 @@ class TestConfig:
             ExperimentConfig(degree=2, quad_points=2).validate()
 
     def test_shipped_configs_validate(self):
+        # each file parses, and to the same canonical text (SHA-256 prefixes)
+        digests = {
+            "demo1d.cfg": "f3b0a5969b226899",
+            "mms_q1_l5.cfg": "5660559290a915b3",
+            "mms_q2_l5.cfg": "c78ed4160d801d60",
+            "spinodal_fh.cfg": "1919aa39d9bf9eec",
+            "spinodal_poly.cfg": "c7e2ac085ebc6fb4",
+        }
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
-        paths = sorted(glob.glob(os.path.join(root, "*.cfg")))
-        assert paths
-        for path in paths:
-            parse_config(path)
+        assert sorted(map(os.path.basename, glob.glob(os.path.join(root, "*.cfg")))) == sorted(digests)
+        for name, digest in digests.items():
+            text = serialize_config(parse_config(os.path.join(root, name)))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, name
+
+    @pytest.mark.parametrize(
+        "lo, hi, closed",
+        [("0.7", "0.3", "true"), ("0.7", "0.3", "false"), ("0.5", "0.5", "false"), ("nan", "0.9", "true")],
+    )
+    def test_spinodal_band_that_holds_no_value_rejected(self, lo, hi, closed):
+        text = (
+            "[experiment]\nkind = spinodal\n\n"
+            f"[adapt]\nband_lo = {lo}\nband_hi = {hi}\nband_closed = {closed}\n"
+        )
+        with pytest.raises(ValueError, match=rf"band_lo \({lo}\).*band_hi \({hi}\)"):
+            parse_config(text)
+
+    def test_band_checked_only_where_it_is_read(self):
+        cfg = parse_config("[experiment]\nkind = spinodal\n\n[adapt]\nband_lo = 0.5\nband_hi = 0.5\n")
+        assert cfg.band_lo == cfg.band_hi == 0.5  # a closed band holds its one value
+        parse_config("[experiment]\nkind = mms\n\n[adapt]\nband_lo = 0.7\nband_hi = 0.3\n")
 
     def test_boolean_parsing(self):
         cfg = parse_config("[adapt]\nband_closed = false\n")
