@@ -16,12 +16,12 @@ _EXPORTS = {
     "quadrature": "LagrangeBasis1D QuadratureRule1D element_nodal_basis gauss_legendre "
     "quad_point_basis",
     "restriction": "apply_restriction restriction_matrix",
-    "mesh": "MAX_LEVEL AdaptPlan CoarsenRecord Flag MeshTopology RefineRecord Stage build_uniform "
-    "enumerate_nodes execute_coarsen execute_refine",
+    "mesh": "MAX_LEVEL CoarsenRecord MeshTopology RefineRecord build_uniform enumerate_nodes "
+    "execute_coarsen execute_refine",
     "fem": "GaussField LeafField NodalField SparseSystem assemble_mass assemble_stiffness "
     "eval_at_gauss eval_grad_at_gauss integrate_gauss interpolate_nodal project_l2 solve_spd",
     "transfer": "TransferMode refine_leaf_field restrict_gauss_field transfer_coarsen_conservative "
-    "transfer_coarsen_injection transfer_refine",
+    "transfer_coarsen_injection",
     "models": "CahnHilliardProblem Diagnostics DiffusionProblem FloryHugginsFreeEnergy "
     "PolynomialFreeEnergy ch_step chemical_potential_init diffusion_step energy make_free_energy "
     "mms_exact random_mixture_ic",

@@ -1,4 +1,9 @@
-"""Marking criteria and the refine-then-coarsen adaptation cycle."""
+"""Marking criteria and the refine-then-coarsen adaptation cycle.
+
+A criterion answers two questions about a field, each with one bool per
+leaf: ``refine(field)``, which leaves to split, and ``coarsen(field)``,
+which leaves may merge with their siblings.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,14 +12,7 @@ import numpy as np
 
 from .config import _check_band
 from .fem import NodalField, _element_rule, _square_sum, eval_at_gauss, eval_grad_at_gauss
-from .mesh import (
-    AdaptPlan,
-    Flag,
-    Stage,
-    execute_coarsen,
-    execute_refine,
-    sibling_families,
-)
+from .mesh import execute_coarsen, execute_refine, sibling_families
 from .transfer import (
     TransferMode,
     refine_leaf_field,
@@ -63,9 +61,10 @@ class MmsCriterion:
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
 
-    def mark(self, field: NodalField, stage: Stage) -> AdaptPlan | None:
-        if stage is Stage.REFINE_STAGE:
-            return None
+    def refine(self, field: NodalField) -> np.ndarray:
+        return np.zeros(field.mesh.n_leaves, dtype=bool)
+
+    def coarsen(self, field: NodalField) -> np.ndarray:
         return mark_mms(field, self)
 
 
@@ -90,53 +89,49 @@ class InterfaceCriterion:
             raise ValueError("bulk level must be below interface level")
         _check_band(self.band_lo, self.band_hi, self.closed)
 
-    def mark(self, field: NodalField, stage: Stage) -> AdaptPlan:
-        return mark_interface(field, self, stage)
+    def refine(self, field: NodalField) -> np.ndarray:
+        return mark_interface(field, self) & (field.mesh.levels < self.interface_level)
+
+    def coarsen(self, field: NodalField) -> np.ndarray:
+        return ~mark_interface(field, self) & (field.mesh.levels > self.bulk_level)
 
 
-def mark_mms(field: NodalField, crit: MmsCriterion) -> AdaptPlan:
-    """Coarsen-stage plan for the manufactured-solution criterion.
+def mark_mms(field: NodalField, crit: MmsCriterion) -> np.ndarray:
+    """Coarsen mask of the manufactured-solution criterion.
 
     Two clauses, combined by union. Threshold clause: level-l leaves with
     eta below tau. Fraction clause: the lowest-indicator complete level-l
     sibling families, taken in ascending order of their worst child, until
     10% of all leaves are spent. Flagging whole families is what guarantees
     the rule actually produces merges each cycle (stray single-leaf flags
-    would be demoted at execution time); ties break by Morton position.
-    A mesh with no leaf at level l gets the empty plan without computing eta.
+    would be dropped at execution time); ties break by Morton position.
+    A mesh with no leaf at level l gets the empty mask without computing eta.
     """
     mesh = field.mesh
     at_fine = mesh.levels == crit.fine_level
-    flags = np.full(mesh.n_leaves, Flag.NO_CHANGE, dtype=np.int8)
+    coarsen = np.zeros(mesh.n_leaves, dtype=bool)
     if not at_fine.any():
-        return AdaptPlan(Stage.COARSEN_STAGE, flags)
+        return coarsen
     eta = element_gradient_norms(field)
-    flags[at_fine & (eta < crit.tau)] = Flag.COARSEN
+    coarsen[at_fine & (eta < crit.tau)] = True
     nchild = 2**mesh.dim
     budget = int(crit.fraction * mesh.n_leaves)
     if budget >= nchild:
         starts = sibling_families(mesh, at_fine)
         children = starts[:, None] + np.arange(nchild)
         ranked = np.lexsort((starts, eta[children].max(axis=1)))
-        flags[children[ranked[: budget // nchild]]] = Flag.COARSEN
-    return AdaptPlan(Stage.COARSEN_STAGE, flags)
+        coarsen[children[ranked[: budget // nchild]]] = True
+    return coarsen
 
 
-def mark_interface(field: NodalField, crit: InterfaceCriterion, stage: Stage) -> AdaptPlan:
-    """Band criterion: refine interface elements, coarsen bulk ones."""
-    mesh = field.mesh
+def mark_interface(field: NodalField, crit: InterfaceCriterion) -> np.ndarray:
+    """Interface mask of the band criterion: leaves with a nodal or Gauss value in the band."""
     samples = np.concatenate([field.element_values(), eval_at_gauss(field).values], axis=1)
     if crit.closed:
         in_band = (samples >= crit.band_lo) & (samples <= crit.band_hi)
     else:
         in_band = (samples > crit.band_lo) & (samples < crit.band_hi)
-    interface = in_band.any(axis=1)
-    flags = np.full(mesh.n_leaves, Flag.NO_CHANGE, dtype=np.int8)
-    if stage is Stage.REFINE_STAGE:
-        flags[interface & (mesh.levels < crit.interface_level)] = Flag.REFINE
-    else:
-        flags[~interface & (mesh.levels > crit.bulk_level)] = Flag.COARSEN
-    return AdaptPlan(stage, flags)
+    return in_band.any(axis=1)
 
 
 @dataclass
@@ -168,10 +163,9 @@ def adapt_cycle(
     onto the refined mesh (``refine_leaf_field``); marking and coarsening
     read those per-leaf values, and during coarsening each field uses its
     own TransferMode. When nothing merges, the per-leaf values are scattered
-    onto the refined mesh, as ``transfer_refine`` does. When merges happen
-    and an energy functional is supplied, the energy mismatch of the
-    conserved field across the coarsening transfer is recorded, together
-    with the energy after it.
+    onto the refined mesh. When merges happen and an energy functional is
+    supplied, the energy mismatch of the conserved field across the
+    coarsening transfer is recorded, together with the energy after it.
 
     As soon as a stage returns a new mesh, every numbering of the mesh it
     replaces releases its operators (``NodeNumbering.release_operators``),
@@ -182,18 +176,18 @@ def adapt_cycle(
     mesh = fields[conserved].mesh
     stats = CycleStats()
 
-    plan = criterion.mark(fields[conserved], Stage.REFINE_STAGE)
-    if plan is not None and np.any(plan.flags == Flag.REFINE):
-        new_mesh, record = execute_refine(mesh, plan)
+    refine = criterion.refine(fields[conserved])
+    if refine.any():
+        new_mesh, record = execute_refine(mesh, refine)
         if new_mesh is not mesh:
             _release_operators(mesh)
             stats.n_refined = new_mesh.n_leaves - mesh.n_leaves
             fields = {k: refine_leaf_field(f, record) for k, f in fields.items()}
             mesh = new_mesh
 
-    plan = criterion.mark(fields[conserved], Stage.COARSEN_STAGE)
-    if plan is not None and np.any(plan.flags == Flag.COARSEN):
-        new_mesh, record = execute_coarsen(mesh, plan)
+    coarsen = criterion.coarsen(fields[conserved])
+    if coarsen.any():
+        new_mesh, record = execute_coarsen(mesh, coarsen)
         if len(record.merges):
             _release_operators(mesh)
             stats.n_merged = len(record.merges)

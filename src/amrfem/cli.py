@@ -74,17 +74,21 @@ def _cmd_demo1d(args) -> int:
     return 0
 
 
+def _modes(cfg, args) -> tuple[str, ...]:
+    """Transfer modes to run: ``--mode``, else the config's, "both" as two runs."""
+    if args.mode:
+        return (args.mode,)
+    return ("conservative", "injection") if cfg.mode == "both" else (cfg.mode,)
+
+
 def _cmd_mms(args) -> int:
     from .config import parse_config
     from .runs import emit_outputs, run_mms
 
     cfg = parse_config(args.config)
     out_dir = args.out or cfg.directory
-    modes = (cfg.mode,) if cfg.mode != "both" else ("conservative", "injection")
-    if args.mode:
-        modes = (args.mode,)
     ok = True
-    for mode in modes:
+    for mode in _modes(cfg, args):
         result = run_mms(cfg, mode)
         emit_outputs(result, cfg, out_dir, mode)
         print(
@@ -102,11 +106,8 @@ def _cmd_spinodal(args) -> int:
 
     cfg = parse_config(args.config)
     out_dir = args.out or cfg.directory
-    modes = (cfg.mode,) if cfg.mode != "both" else ("conservative", "injection")
-    if args.mode:
-        modes = (args.mode,)
     ok = True
-    for mode in modes:
+    for mode in _modes(cfg, args):
         result = run_spinodal(cfg, mode, out_dir=out_dir)
         emit_outputs(result, cfg, out_dir, mode)
         print(

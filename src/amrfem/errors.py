@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["MeshStateError", "SolverError", "NewtonError"]
+
 
 class MeshStateError(RuntimeError):
     """Raised when a mesh operation requires state the mesh does not have

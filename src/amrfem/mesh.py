@@ -20,7 +20,6 @@ hanging-node constraint matrix on coarse/fine interfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
 from functools import cached_property, reduce
 from operator import or_
 
@@ -32,9 +31,6 @@ from .quadrature import child_lattice_values
 
 __all__ = [
     "MAX_LEVEL",
-    "Flag",
-    "Stage",
-    "AdaptPlan",
     "MeshTopology",
     "NodeNumbering",
     "RefineRecord",
@@ -48,35 +44,6 @@ __all__ = [
 
 MAX_LEVEL = 20
 _DOMAIN = 1 << MAX_LEVEL  # lattice extent of [0, 1] per axis
-
-
-class Flag(IntEnum):
-    NO_CHANGE = 0
-    REFINE = 1
-    COARSEN = 2
-
-
-class Stage(Enum):
-    REFINE_STAGE = "refine"
-    COARSEN_STAGE = "coarsen"
-
-
-@dataclass
-class AdaptPlan:
-    """Per-leaf flag assignment for one adaptation stage.
-
-    The two stages are mutually exclusive: a refine-stage plan may not carry
-    COARSEN flags and vice versa.
-    """
-
-    stage: Stage
-    flags: np.ndarray
-
-    def __post_init__(self):
-        self.flags = np.asarray(self.flags, dtype=np.int8)
-        banned = Flag.COARSEN if self.stage is Stage.REFINE_STAGE else Flag.REFINE
-        if np.any(self.flags == banned):
-            raise ValueError(f"{banned.name} flag not allowed in {self.stage.name}")
 
 
 def _morton_keys(anchors: np.ndarray, dim: int) -> np.ndarray:
@@ -281,18 +248,29 @@ def _child_offsets(dim: int, half: int) -> np.ndarray:
     return np.array([[0, 0], [half, 0], [0, half], [half, half]], dtype=np.int64)
 
 
-def execute_refine(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, RefineRecord]:
-    """Split flagged leaves, then promote neighbours until 2:1 balance holds.
+def _leaf_mask(mesh: MeshTopology, mask: np.ndarray) -> np.ndarray:
+    """``mask`` checked to be bool with one entry per leaf.
 
+    Integer flags are refused rather than cast: any nonzero value would
+    read as True.
+    """
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (mesh.n_leaves,):
+        raise ValueError(
+            f"need a bool mask of {mesh.n_leaves} leaves, got {mask.dtype} of shape {mask.shape}"
+        )
+    return mask
+
+
+def execute_refine(mesh: MeshTopology, refine: np.ndarray) -> tuple[MeshTopology, RefineRecord]:
+    """Split the leaves where ``refine`` is True, then promote neighbours until 2:1 holds.
+
+    The balance closure works on a copy: the caller's mask is not changed.
     Returns the original mesh object (with an identity record) when nothing
     is flagged, so downstream caches survive no-op cycles.
     """
-    if plan.stage is not Stage.REFINE_STAGE:
-        raise ValueError("execute_refine needs a REFINE_STAGE plan")
-    if len(plan.flags) != mesh.n_leaves:
-        raise ValueError("plan/mesh size mismatch")
-    flags = plan.flags == Flag.REFINE
-    if not flags.any():
+    refine = _leaf_mask(mesh, refine).copy()
+    if not refine.any():
         rec = RefineRecord(
             mesh,
             mesh,
@@ -302,11 +280,11 @@ def execute_refine(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, R
         return mesh, rec
 
     levels = mesh.levels
-    if np.any(levels[flags] >= MAX_LEVEL):
+    if np.any(levels[refine] >= MAX_LEVEL):
         raise ValueError("refinement would exceed MAX_LEVEL")
 
     # Balance closure: flagging a leaf can force coarser edge-neighbours to
-    # refine as well. Effective levels are level + flag; sweep every
+    # refine as well. Effective levels are level + refine; sweep every
     # (leaf, coarser neighbour) pair at once until no flag changes.
     fine, coarse = [], []
     for axis, side in _faces(mesh.dim):
@@ -316,17 +294,17 @@ def execute_refine(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, R
         coarse.append(j[i])
     fine, coarse = np.concatenate(fine), np.concatenate(coarse)
     while True:
-        eff = levels + flags
+        eff = levels + refine
         promote = coarse[eff[fine] - eff[coarse] >= 2]
         if not promote.size:
             break
-        flags[promote] = True
+        refine[promote] = True
 
     nchild = 2**mesh.dim
-    counts = np.where(flags, nchild, 1)
+    counts = np.where(refine, nchild, 1)
     src = np.repeat(np.arange(mesh.n_leaves), counts)
     rank = np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
-    split = flags[src]
+    split = refine[src]
     cid = np.where(split, rank, -1)
     half = mesh.leaf_sizes[src] >> 1
     offsets = _child_offsets(mesh.dim, 1)[rank] * half[:, None]
@@ -380,19 +358,16 @@ def sibling_families(mesh: MeshTopology, eligible: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def execute_coarsen(mesh: MeshTopology, plan: AdaptPlan) -> tuple[MeshTopology, CoarsenRecord]:
-    """Merge flagged sibling families, vetoing merges that would break 2:1.
+def execute_coarsen(mesh: MeshTopology, coarsen: np.ndarray) -> tuple[MeshTopology, CoarsenRecord]:
+    """Merge the sibling families flagged in ``coarsen``, vetoing merges that would break 2:1.
 
-    Incomplete or mixed-level families are demoted to NO_CHANGE. A candidate
-    merge is vetoed when an edge-adjacent region would end up two levels
-    finer than the new parent; vetoes cascade until a fixpoint. Returns the
-    original mesh object (with an identity record) when nothing merges.
+    ``coarsen`` is a bool mask, one entry per leaf. Incomplete or
+    mixed-level families stay as they are. A candidate merge is vetoed when
+    an edge-adjacent region would end up two levels finer than the new
+    parent; vetoes cascade until a fixpoint. Returns the original mesh
+    object (with an identity record) when nothing merges.
     """
-    if plan.stage is not Stage.COARSEN_STAGE:
-        raise ValueError("execute_coarsen needs a COARSEN_STAGE plan")
-    if len(plan.flags) != mesh.n_leaves:
-        raise ValueError("plan/mesh size mismatch")
-    coarsen = plan.flags == Flag.COARSEN
+    coarsen = _leaf_mask(mesh, coarsen)
     starts = sibling_families(mesh, coarsen) if coarsen.any() else np.empty(0, np.int64)
 
     # The child-size cells beside the parent are its children's outer face

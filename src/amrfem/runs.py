@@ -17,7 +17,7 @@ from .fem import (
     integrate_gauss,
     interpolate_nodal,
 )
-from .mesh import AdaptPlan, Flag, Stage, build_uniform, enumerate_nodes, execute_coarsen
+from .mesh import build_uniform, enumerate_nodes, execute_coarsen
 from .models import (
     CahnHilliardProblem,
     Diagnostics,
@@ -86,8 +86,7 @@ def run_demo1d(degree: int, mass_tol: float = 1e-13) -> dict:
     fine = interpolate_nodal(mesh, degree, lambda c: DEMO_FUNCTION(c[:, 0]))
     original = _field_mass(fine)
 
-    plan = AdaptPlan(Stage.COARSEN_STAGE, np.full(mesh.n_leaves, Flag.COARSEN, np.int8))
-    coarse_mesh, record = execute_coarsen(mesh, plan)
+    coarse_mesh, record = execute_coarsen(mesh, np.ones(mesh.n_leaves, dtype=bool))
     assert coarse_mesh.n_leaves == mesh.n_leaves // 2
 
     injected = transfer_coarsen_injection(fine, record)
@@ -147,10 +146,11 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
 
     The mesh starts uniform at ``config.level``; each step advances the
     solution and then runs the two-level coarsening criterion, so octants
-    live at level l or l-1 throughout.
+    live at level l or l-1 throughout. ``mode`` (default ``config.mode``)
+    names one TransferMode; "both" is not one.
     """
     mode = mode or config.mode
-    tmode = TransferMode.CONSERVATIVE if mode == "conservative" else TransferMode.INJECTION
+    tmode = TransferMode(mode)
     p = config.degree
     problem = DiffusionProblem(
         amplitude=config.mms_amplitude,
@@ -253,10 +253,11 @@ def run_spinodal(
     Newton failure aborts the run but leaves the partial diagnostics. When
     the mesh did not change since the previous step, Newton starts from the
     linear extrapolation 2 u_n - u_(n-1) of the state u = [phi; mu], which
-    has the mass of u_n.
+    has the mass of u_n. ``mode`` (default ``config.mode``) names the
+    TransferMode of phi; "both" is not one.
     """
     mode = mode or config.mode
-    tmode = TransferMode.CONSERVATIVE if mode == "conservative" else TransferMode.INJECTION
+    tmode = TransferMode(mode)
     p = config.degree
     fe_params = (
         {"a": config.fh_a, "chi": config.fh_chi, "beta": config.fh_beta}

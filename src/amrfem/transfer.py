@@ -3,8 +3,8 @@
 Refinement interpolates parent values at child node locations (exact for the
 represented field, hence conservative). It is element-local: each leaf of
 the refined mesh gets its row of local node values from one source leaf, so
-``refine_leaf_field`` needs no node numbering of the refined mesh, and
-``transfer_refine`` scatters those rows through it. Coarsening comes in two
+``refine_leaf_field`` needs no node numbering of the refined mesh; its
+``nodal()`` scatters those rows through one. Coarsening comes in two
 flavours, both of which read the fine field only through its element values,
 so they accept a ``LeafField`` from ``refine_leaf_field`` as well as a
 ``NodalField``: plain injection of coinciding nodal values, leaf by leaf, and
@@ -27,7 +27,6 @@ from .restriction import apply_restriction, restriction_matrix
 __all__ = [
     "TransferMode",
     "refine_leaf_field",
-    "transfer_refine",
     "transfer_coarsen_injection",
     "transfer_coarsen_conservative",
     "restrict_gauss_field",
@@ -99,18 +98,6 @@ def refine_leaf_field(field: NodalField, record: RefineRecord) -> LeafField:
     return LeafField(mesh, field.p, rows, write_order=order)
 
 
-def transfer_refine(field: NodalField, record: RefineRecord) -> NodalField:
-    """Parent-to-child transfer onto the refined mesh.
-
-    New nodal values come from evaluating the parent element's basis at the
-    child node locations; unchanged leaves copy their values. The represented
-    function is unchanged, so every integral is preserved. This is
-    ``refine_leaf_field`` followed by one scatter through the refined mesh's
-    numbering.
-    """
-    return refine_leaf_field(field, record).nodal()
-
-
 def transfer_coarsen_injection(
     field: NodalField | LeafField, record: CoarsenRecord
 ) -> NodalField:
@@ -135,7 +122,7 @@ def transfer_coarsen_injection(
 def restrict_gauss_field(gf: GaussField, record: CoarsenRecord) -> GaussField:
     """Gauss-point stage of conservative coarsening.
 
-    NO_CHANGE leaves copy their blocks verbatim; merged parents get the
+    Unchanged leaves copy their blocks verbatim; merged parents get the
     restriction of their children's blocks (children in Morton order).
     """
     if gf.mesh is not record.mesh_old:

@@ -10,7 +10,7 @@ def coarsen_l2_distance(fine: NodalField, coarse: NodalField, record: CoarsenRec
     """||fine - coarse|| in L2, integrated leaf by leaf over the fine mesh.
 
     Copied leaves compare element values directly; a merged parent is
-    prolonged to its children with the parent basis, as ``transfer_refine``
+    prolonged to its children with the parent basis, as ``refine_leaf_field``
     does. Each leaf's difference is weighted by the reference mass matrix
     and the Jacobian, which integrates the squared difference exactly.
     """

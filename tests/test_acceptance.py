@@ -131,20 +131,20 @@ def test_criterion_05_global_transfer_conservation():
     for trial in range(20):
         mesh = a.build_uniform(2, 2)
         for _ in range(2):
-            flags = np.zeros(mesh.n_leaves, np.int8)
+            refine = np.zeros(mesh.n_leaves, dtype=bool)
             pick = rng.choice(mesh.n_leaves, size=max(1, mesh.n_leaves // 4), replace=False)
-            flags[pick] = a.Flag.REFINE
-            mesh, _ = a.execute_refine(mesh, a.AdaptPlan(a.Stage.REFINE_STAGE, flags))
+            refine[pick] = True
+            mesh, _ = a.execute_refine(mesh, refine)
         p = 1 + trial % 2
         nn = a.enumerate_nodes(mesh, p)
         assert nn.hanging, "adapted meshes must exercise hanging nodes"
         fine_levels = np.nonzero(mesh.levels == mesh.levels.max())[0]
-        cflags = np.zeros(mesh.n_leaves, np.int8)
-        cflags[fine_levels] = a.Flag.COARSEN
-        _, crec = a.execute_coarsen(mesh, a.AdaptPlan(a.Stage.COARSEN_STAGE, cflags))
-        rflags = np.zeros(mesh.n_leaves, np.int8)
-        rflags[rng.choice(mesh.n_leaves, size=3, replace=False)] = a.Flag.REFINE
-        _, rrec = a.execute_refine(mesh, a.AdaptPlan(a.Stage.REFINE_STAGE, rflags))
+        coarsen = np.zeros(mesh.n_leaves, dtype=bool)
+        coarsen[fine_levels] = True
+        _, crec = a.execute_coarsen(mesh, coarsen)
+        refine = np.zeros(mesh.n_leaves, dtype=bool)
+        refine[rng.choice(mesh.n_leaves, size=3, replace=False)] = True
+        _, rrec = a.execute_refine(mesh, refine)
         for _ in range(5):
             f = a.NodalField(mesh, p, rng.standard_normal(nn.n_dofs) + 1.5)
             n_fields += 1
@@ -152,7 +152,7 @@ def test_criterion_05_global_transfer_conservation():
             if len(crec.merges):
                 fc = a.transfer_coarsen_conservative(f, crec, tol=1e-12)
                 worst_cons = max(worst_cons, abs(field_mass(fc) - m0) / abs(m0))
-            fr = a.transfer_refine(f, rrec)
+            fr = a.refine_leaf_field(f, rrec).nodal()
             worst_refine = max(worst_refine, abs(field_mass(fr) - m0))
     elapsed = time.perf_counter() - t0
     ok = worst_cons <= 1e-10 and worst_refine <= 1e-13 and n_fields == 100 and elapsed < 120.0

@@ -17,15 +17,7 @@ from amrfem.fem import (
     integrate_gauss,
     interpolate_nodal,
 )
-from amrfem.mesh import (
-    AdaptPlan,
-    Flag,
-    MeshTopology,
-    Stage,
-    build_uniform,
-    enumerate_nodes,
-    execute_refine,
-)
+from amrfem.mesh import MeshTopology, build_uniform, enumerate_nodes, execute_refine
 from amrfem.models import (
     CahnHilliardProblem,
     DiffusionProblem,
@@ -46,12 +38,13 @@ class RefineOnly:
     def __init__(self, leaves):
         self.leaves = leaves
 
-    def mark(self, field, stage):
-        if stage is Stage.COARSEN_STAGE:
-            return None
-        flags = np.zeros(field.mesh.n_leaves, np.int8)
-        flags[self.leaves] = Flag.REFINE
-        return AdaptPlan(stage, flags)
+    def refine(self, field):
+        mask = np.zeros(field.mesh.n_leaves, dtype=bool)
+        mask[self.leaves] = True
+        return mask
+
+    def coarsen(self, field):
+        return np.zeros(field.mesh.n_leaves, dtype=bool)
 
 
 @pytest.fixture
@@ -59,8 +52,8 @@ def refine_calls(monkeypatch):
     """(refined mesh, record) of every refine stage adapt_cycle executes."""
     calls = []
 
-    def recording(mesh, plan):
-        out = execute_refine(mesh, plan)
+    def recording(mesh, refine):
+        out = execute_refine(mesh, refine)
         calls.append(out)
         return out
 
@@ -86,15 +79,12 @@ class TestMarkMms:
     def test_constant_field_flags_all_fine_leaves(self):
         mesh = build_uniform(2, 3)
         f = interpolate_nodal(mesh, 1, lambda c: np.ones(len(c)))
-        plan = mark_mms(f, MmsCriterion(tau=1e-2, fine_level=3))
-        assert plan.stage is Stage.COARSEN_STAGE
-        assert np.all(plan.flags == Flag.COARSEN)
+        assert np.all(mark_mms(f, MmsCriterion(tau=1e-2, fine_level=3)))
 
     def test_huge_gradient_uses_fraction_clause_only(self):
         mesh = build_uniform(2, 3)
         f = interpolate_nodal(mesh, 1, lambda c: 100.0 * c[:, 0])
-        plan = mark_mms(f, MmsCriterion(tau=1e-12, fine_level=3))
-        n_flagged = int((plan.flags == Flag.COARSEN).sum())
+        n_flagged = np.count_nonzero(mark_mms(f, MmsCriterion(tau=1e-12, fine_level=3)))
         # whole families, as many as fit in the 10% element budget
         budget = int(0.10 * mesh.n_leaves)
         assert n_flagged == (budget // 4) * 4
@@ -103,8 +93,7 @@ class TestMarkMms:
     def test_all_coarse_leaves_give_empty_plan(self):
         mesh = build_uniform(2, 2)
         f = interpolate_nodal(mesh, 1, lambda c: np.ones(len(c)))
-        plan = mark_mms(f, MmsCriterion(tau=1e-2, fine_level=3))
-        assert not np.any(plan.flags == Flag.COARSEN)
+        assert not np.any(mark_mms(f, MmsCriterion(tau=1e-2, fine_level=3)))
 
     def test_all_coarse_mesh_computes_no_indicator(self, monkeypatch):
         def unused(field):
@@ -113,22 +102,25 @@ class TestMarkMms:
         monkeypatch.setattr(adapt, "element_gradient_norms", unused)
         mesh = build_uniform(2, 2)
         f = interpolate_nodal(mesh, 1, lambda c: c[:, 0] ** 2)
-        plan = mark_mms(f, MmsCriterion(tau=1e-2, fine_level=3))
-        assert plan.stage is Stage.COARSEN_STAGE
-        assert np.all(plan.flags == Flag.NO_CHANGE)
+        coarsen = mark_mms(f, MmsCriterion(tau=1e-2, fine_level=3))
+        assert coarsen.dtype == bool and not coarsen.any()
 
-    def test_refine_stage_is_none(self):
+    def test_refine_mask_is_empty(self, monkeypatch):
+        def unused(field):
+            raise AssertionError("element_gradient_norms called")
+
+        monkeypatch.setattr(adapt, "element_gradient_norms", unused)
         mesh = build_uniform(2, 3)
         f = interpolate_nodal(mesh, 1, lambda c: np.ones(len(c)))
-        assert MmsCriterion(tau=1e-2, fine_level=3).mark(f, Stage.REFINE_STAGE) is None
+        refine = MmsCriterion(tau=1e-2, fine_level=3).refine(f)
+        assert refine.dtype == bool and refine.shape == (mesh.n_leaves,) and not refine.any()
 
     def test_fraction_ties_break_by_morton(self):
         # identical eta everywhere: the budgeted families must be the first
         # ones in Morton order
         mesh = build_uniform(2, 3)
         f = interpolate_nodal(mesh, 1, lambda c: c[:, 0] + c[:, 1])
-        plan = mark_mms(f, MmsCriterion(tau=1e-12, fine_level=3))
-        flagged = np.nonzero(plan.flags == Flag.COARSEN)[0]
+        flagged = np.flatnonzero(mark_mms(f, MmsCriterion(tau=1e-12, fine_level=3)))
         budget = (int(0.10 * mesh.n_leaves) // 4) * 4
         assert np.array_equal(flagged, np.arange(budget))
 
@@ -139,7 +131,7 @@ class TestMarkMms:
         crit = MmsCriterion(tau=5e-3, fine_level=3)
         a = mark_mms(f, crit)
         b = mark_mms(f, crit)
-        assert np.array_equal(a.flags, b.flags)
+        assert np.array_equal(a, b)
 
 
 class TestMarkInterface:
@@ -149,36 +141,31 @@ class TestMarkInterface:
     def test_mixed_state_refines_everywhere(self):
         mesh = build_uniform(2, 3)
         f = interpolate_nodal(mesh, 1, lambda c: np.zeros(len(c)))
-        plan = mark_interface(f, self.crit(), Stage.REFINE_STAGE)
-        assert np.all(plan.flags == Flag.REFINE)
+        assert np.all(self.crit().refine(f))
 
     def test_pure_state_coarsens_everywhere(self):
         mesh = build_uniform(2, 3)
         f = interpolate_nodal(mesh, 1, lambda c: np.full(len(c), 0.95))
-        plan = mark_interface(f, self.crit(), Stage.COARSEN_STAGE)
-        assert np.all(plan.flags == Flag.COARSEN)
-        refine_plan = mark_interface(f, self.crit(), Stage.REFINE_STAGE)
-        assert not np.any(refine_plan.flags == Flag.REFINE)
+        assert not np.any(mark_interface(f, self.crit()))
+        assert np.all(self.crit().coarsen(f))
+        assert not np.any(self.crit().refine(f))
 
     def test_open_band_for_flory_huggins(self):
         mesh = build_uniform(2, 3)
         crit = InterfaceCriterion(0.30, 0.70, 2, 4, closed=False)
         f = interpolate_nodal(mesh, 1, lambda c: np.full(len(c), 0.5))
-        plan = mark_interface(f, crit, Stage.REFINE_STAGE)
-        assert np.all(plan.flags == Flag.REFINE)
+        assert np.all(crit.refine(f))
         g = interpolate_nodal(mesh, 1, lambda c: np.full(len(c), 0.30))
-        plan = mark_interface(g, crit, Stage.REFINE_STAGE)
-        assert not np.any(plan.flags == Flag.REFINE)  # boundary excluded
+        assert not np.any(crit.refine(g))  # boundary excluded
 
     def test_level_clamps(self):
         mesh = build_uniform(2, 4)
         f = interpolate_nodal(mesh, 1, lambda c: np.zeros(len(c)))
-        plan = mark_interface(f, self.crit(), Stage.REFINE_STAGE)
-        assert not np.any(plan.flags == Flag.REFINE)  # already at interface level
+        assert np.all(mark_interface(f, self.crit()))
+        assert not np.any(self.crit().refine(f))  # already at interface level
         mesh2 = build_uniform(2, 2)
         g = interpolate_nodal(mesh2, 1, lambda c: np.full(len(c), 0.99))
-        plan = mark_interface(g, self.crit(), Stage.COARSEN_STAGE)
-        assert not np.any(plan.flags == Flag.COARSEN)  # already at bulk level
+        assert not np.any(self.crit().coarsen(g))  # already at bulk level
 
     @pytest.mark.parametrize(
         "lo, hi, closed", [(0.7, 0.3, True), (0.7, 0.3, False), (0.5, 0.5, False), (-0.9, np.nan, True)]
@@ -191,8 +178,7 @@ class TestMarkInterface:
     def test_single_value_closed_band_accepted(self):
         mesh = build_uniform(2, 3)
         f = interpolate_nodal(mesh, 1, lambda c: np.full(len(c), 0.5))
-        plan = mark_interface(f, self.crit(0.5, 0.5), Stage.REFINE_STAGE)
-        assert np.all(plan.flags == Flag.REFINE)
+        assert np.all(self.crit(0.5, 0.5).refine(f))
 
     def test_gauss_samples_counted_not_only_nodes(self):
         # Q2 bump: nodes outside the band, interior Gauss values inside
@@ -203,8 +189,7 @@ class TestMarkInterface:
         values[centre] = 0.95 - 0.5  # pulls interior Gauss samples into band
         f = NodalField(mesh, 2, values)
         crit = InterfaceCriterion(-0.9, 0.9, 0, 2, closed=True)
-        plan = mark_interface(f, crit, Stage.REFINE_STAGE)
-        assert np.any(plan.flags == Flag.REFINE)
+        assert np.any(crit.refine(f))
 
 
 class TestAdaptCycle:
@@ -290,9 +275,9 @@ class TestAdaptCycle:
     @pytest.mark.parametrize("p", [1, 2])
     def test_refine_only_scatters_like_transfer_refine(self, p, refine_calls):
         mesh = build_uniform(2, 2)
-        flags = np.zeros(mesh.n_leaves, np.int8)
-        flags[5] = Flag.REFINE  # hanging nodes around leaf 5's children
-        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+        refine = np.zeros(mesh.n_leaves, dtype=bool)
+        refine[5] = True  # hanging nodes around leaf 5's children
+        mesh, _ = execute_refine(mesh, refine)
         rng = np.random.default_rng(8)
         f = NodalField(mesh, p, rng.standard_normal(enumerate_nodes(mesh, p).n_dofs))
         mesh2, fields, stats = adapt_cycle(
@@ -357,16 +342,3 @@ class TestAdaptCycle:
         assert nn.cache.keys() == cached.keys()
         assert all(nn.cache[k] is v for k, v in cached.items())
         assert nn.summation_map is sums
-
-    def test_plans_never_mix_flags(self):
-        mesh = build_uniform(2, 3)
-        f = interpolate_nodal(mesh, 1, lambda c: c[:, 0] - 0.5)
-        crit = InterfaceCriterion(-0.2, 0.2, 2, 4)
-        for stage in (Stage.REFINE_STAGE, Stage.COARSEN_STAGE):
-            plan = crit.mark(f, stage)
-            banned = Flag.COARSEN if stage is Stage.REFINE_STAGE else Flag.REFINE
-            assert not np.any(plan.flags == banned)
-
-    def test_mixed_plan_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptPlan(Stage.REFINE_STAGE, np.array([Flag.COARSEN], dtype=np.int8))

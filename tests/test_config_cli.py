@@ -207,6 +207,27 @@ class TestCli:
         assert (out / "diagnostics_conservative.csv").exists()
         assert (out / "summary_conservative.txt").exists()
 
+    def test_mode_both_runs_each_mode_once(self, tmp_path):
+        cfg = tmp_path / "mms.cfg"
+        cfg.write_text(
+            "[experiment]\nkind = mms\ndegree = 1\n\n[mesh]\nlevel = 3\n\n"
+            "[time]\ndt = 0.05\nt_final = 0.1\n\n[transfer]\nmode = both\n"
+        )
+        out = tmp_path / "out"
+        proc = run_cli("mms", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        modes = [line.split()[3] for line in proc.stdout.splitlines()]
+        assert modes == ["mode=conservative", "mode=injection"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diagnostics_conservative.csv",
+            "diagnostics_injection.csv",
+            "summary_conservative.txt",
+            "summary_injection.txt",
+        ]
+        proc = run_cli("mms", "--config", str(cfg), "--mode", "injection", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split()[3] for line in proc.stdout.splitlines()] == ["mode=injection"]
+
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg = tmp_path / "sp.cfg"
         cfg.write_text(

@@ -28,10 +28,7 @@ from amrfem.fem import (
 )
 from amrfem.mesh import (
     MAX_LEVEL,
-    AdaptPlan,
-    Flag,
     NodeNumbering,
-    Stage,
     build_uniform,
     enumerate_nodes,
     execute_coarsen,
@@ -49,9 +46,9 @@ import assembly_reference as ref
 
 def refined_mesh(level=2, leaves=(0,)):
     mesh = build_uniform(2, level)
-    flags = np.zeros(mesh.n_leaves, np.int8)
-    flags[list(leaves)] = Flag.REFINE
-    mesh2, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+    refine = np.zeros(mesh.n_leaves, dtype=bool)
+    refine[list(leaves)] = True
+    mesh2, _ = execute_refine(mesh, refine)
     return mesh2
 
 
@@ -202,10 +199,9 @@ class TestProjectL2:
         for trial in range(20):
             mesh = build_uniform(2, 2)
             for _ in range(2):
-                flags = np.zeros(mesh.n_leaves, np.int8)
-                pick = rng.choice(mesh.n_leaves, size=mesh.n_leaves // 4, replace=False)
-                flags[pick] = Flag.REFINE
-                mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+                refine = np.zeros(mesh.n_leaves, dtype=bool)
+                refine[rng.choice(mesh.n_leaves, size=mesh.n_leaves // 4, replace=False)] = True
+                mesh, _ = execute_refine(mesh, refine)
             p = 1 + trial % 2
             for _ in range(10):
                 gf = GaussField(
@@ -279,9 +275,9 @@ def kernel_test_mesh(dim):
     """A refined mesh: non-uniform in 1D, with hanging nodes in 2D."""
     if dim == 1:
         mesh = build_uniform(1, 3)
-        flags = np.zeros(mesh.n_leaves, np.int8)
-        flags[[1, 2, 6]] = Flag.REFINE
-        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+        refine = np.zeros(mesh.n_leaves, dtype=bool)
+        refine[[1, 2, 6]] = True
+        mesh, _ = execute_refine(mesh, refine)
         return mesh
     return refined_mesh(2, (0, 5, 9))
 
@@ -358,8 +354,7 @@ def _coarsened_level7():
     for _ in range(2):
         half = (1 << (MAX_LEVEL - mesh.levels))[:, None] // 2
         centres = np.ldexp((mesh.anchors + half).astype(float), -MAX_LEVEL)
-        flags = np.where(np.hypot(*(centres - 0.5).T) > 0.3, Flag.COARSEN, Flag.NO_CHANGE)
-        mesh, _ = execute_coarsen(mesh, AdaptPlan(Stage.COARSEN_STAGE, flags.astype(np.int8)))
+        mesh, _ = execute_coarsen(mesh, np.hypot(*(centres - 0.5).T) > 0.3)
     return mesh
 
 

@@ -1,12 +1,16 @@
 """What each path imports: SuperLU loads with the first Cahn-Hilliard factorisation.
 
-Each test runs in a fresh interpreter, since ``sys.modules`` is shared by
-the whole test session.
+Each SuperLU test runs in a fresh interpreter, since ``sys.modules`` is
+shared by the whole test session. The package's lazy exports are checked
+against the modules that define them.
 """
+import importlib
 import os
 import subprocess
 import sys
 import textwrap
+
+import amrfem
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -92,3 +96,11 @@ def test_rebinding_before_the_first_factorisation_is_honoured():
         assert models.spla is stand_in
         """,
     )
+
+
+def test_every_lazy_export_is_public_in_its_module():
+    for module, names in amrfem._EXPORTS.items():
+        mod = importlib.import_module(f"amrfem.{module}")
+        for name in names.split():
+            assert name in mod.__all__, f"amrfem.{module}.__all__ lacks {name}"
+            assert getattr(amrfem, name) is getattr(mod, name)

@@ -6,10 +6,7 @@ import topology_reference as reference
 from amrfem.errors import MeshStateError
 from amrfem.mesh import (
     MAX_LEVEL,
-    AdaptPlan,
-    Flag,
     MeshTopology,
-    Stage,
     build_uniform,
     enumerate_nodes,
     execute_coarsen,
@@ -20,22 +17,11 @@ from amrfem.mesh import (
 from amrfem.quadrature import child_lattice_values
 
 
-def refine_plan(mesh, idx=None):
-    flags = np.zeros(mesh.n_leaves, np.int8)
-    if idx is None:
-        flags[:] = Flag.REFINE
-    else:
-        flags[idx] = Flag.REFINE
-    return AdaptPlan(Stage.REFINE_STAGE, flags)
-
-
-def coarsen_plan(mesh, idx=None):
-    flags = np.zeros(mesh.n_leaves, np.int8)
-    if idx is None:
-        flags[:] = Flag.COARSEN
-    else:
-        flags[idx] = Flag.COARSEN
-    return AdaptPlan(Stage.COARSEN_STAGE, flags)
+def leaf_mask(mesh, idx=None):
+    """True at the leaves ``idx``, or at every leaf."""
+    mask = np.zeros(mesh.n_leaves, dtype=bool)
+    mask[slice(None) if idx is None else idx] = True
+    return mask
 
 
 def leaf_area_sum(mesh):
@@ -135,7 +121,7 @@ def _adapted_fixture():
     global _ADAPTED
     if _ADAPTED is None:
         mesh = build_uniform(2, 2)
-        mesh, _ = execute_refine(mesh, refine_plan(mesh, [0, 7, 13]))
+        mesh, _ = execute_refine(mesh, leaf_mask(mesh, [0, 7, 13]))
         _ADAPTED = mesh
     return _ADAPTED
 
@@ -143,29 +129,38 @@ def _adapted_fixture():
 class TestExecuteRefine:
     def test_refine_one_corner(self):
         mesh = build_uniform(2, 2)
-        mesh2, record = execute_refine(mesh, refine_plan(mesh, [0]))
+        mesh2, record = execute_refine(mesh, leaf_mask(mesh, [0]))
         assert mesh2.n_leaves == 19  # 16 - 1 + 4
         assert mesh2.is_balanced()
         assert leaf_area_sum(mesh2) == pytest.approx(1.0, abs=1e-14)
 
     def test_refine_all(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh))
         assert mesh2.n_leaves == 64
         assert np.all(mesh2.levels == 3)
 
     def test_double_refine_closure_keeps_balance(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
         # refine the deepest corner leaf again; closure must promote others
         target = int(np.argmax(mesh2.levels))
-        mesh3, _ = execute_refine(mesh2, refine_plan(mesh2, [target]))
+        mesh3, _ = execute_refine(mesh2, leaf_mask(mesh2, [target]))
         assert brute_force_balanced(mesh3)
         assert leaf_area_sum(mesh3) == pytest.approx(1.0, abs=1e-14)
 
+    def test_closure_leaves_the_callers_mask_unchanged(self):
+        mesh = build_uniform(2, 2)
+        mesh2, record = execute_refine(mesh, leaf_mask(mesh, [0]))
+        inner = np.flatnonzero(record.child_id == 3)  # borders level-2 leaves
+        mask = leaf_mask(mesh2, inner)
+        _, record = execute_refine(mesh2, mask)
+        assert np.count_nonzero(record.child_id == 0) > 1  # the closure split more leaves
+        assert np.array_equal(mask, leaf_mask(mesh2, inner))
+
     def test_empty_plan_returns_same_mesh(self):
         mesh = build_uniform(2, 2)
-        mesh2, record = execute_refine(mesh, refine_plan(mesh, []))
+        mesh2, record = execute_refine(mesh, leaf_mask(mesh, []))
         assert mesh2 is mesh
         assert np.array_equal(record.source_leaf, np.arange(16))
 
@@ -173,7 +168,7 @@ class TestExecuteRefine:
         from amrfem.mesh import _morton_keys
 
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [3, 7]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [3, 7]))
         keys = _morton_keys(mesh2.anchors, 2).astype(np.int64)
         sizes = mesh2.leaf_sizes
         # each leaf's Morton range [key, key + size^2) must not overlap the next
@@ -184,14 +179,14 @@ class TestExecuteRefine:
 class TestExecuteCoarsen:
     def test_coarsen_all(self):
         mesh = build_uniform(2, 3)
-        mesh2, record = execute_coarsen(mesh, coarsen_plan(mesh))
+        mesh2, record = execute_coarsen(mesh, leaf_mask(mesh))
         assert mesh2.n_leaves == 16
         assert np.all(mesh2.levels == 2)
         assert len(record.merges) == 16
 
     def test_record_covers_every_leaf_once(self):
         mesh = build_uniform(2, 3)
-        plan = coarsen_plan(mesh, list(range(0, 24)))
+        plan = leaf_mask(mesh, list(range(0, 24)))
         mesh2, record = execute_coarsen(mesh, plan)
         assert record.merges.dtype == np.int64
         assert record.merges.shape == (np.count_nonzero(record.copy_source < 0), 4)
@@ -202,17 +197,16 @@ class TestExecuteCoarsen:
 
     def test_partial_family_demoted(self):
         mesh = build_uniform(2, 2)
-        mesh2, record = execute_coarsen(mesh, coarsen_plan(mesh, [0, 1, 2]))
+        mesh2, record = execute_coarsen(mesh, leaf_mask(mesh, [0, 1, 2]))
         assert mesh2 is mesh
         assert not len(record.merges)
 
     def test_mixed_levels_not_merged(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
         # flag the new fine children plus an unrelated same-anchor group
-        flags = np.zeros(mesh2.n_leaves, np.int8)
-        flags[:5] = Flag.COARSEN  # 4 children of leaf 0 + next leaf (level 2)
-        mesh3, record = execute_coarsen(mesh2, AdaptPlan(Stage.COARSEN_STAGE, flags))
+        # 4 children of leaf 0 + next leaf (level 2)
+        mesh3, record = execute_coarsen(mesh2, leaf_mask(mesh2, slice(0, 5)))
         assert len(record.merges) == 1  # only the complete level-3 family
         assert mesh3.is_balanced()
 
@@ -220,13 +214,13 @@ class TestExecuteCoarsen:
         # refine one corner twice so levels 2,3,4 coexist, then try to merge
         # the level-3 family adjacent to level-4 leaves: must be vetoed
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
         deepest = int(np.argmax(mesh2.levels))
-        mesh3, _ = execute_refine(mesh2, refine_plan(mesh2, [deepest]))
+        mesh3, _ = execute_refine(mesh2, leaf_mask(mesh2, [deepest]))
         assert mesh3.is_balanced()
         lv = mesh3.levels.max() - 1  # level of the would-be-merged children
         idx = np.nonzero(mesh3.levels == lv)[0]
-        mesh4, record = execute_coarsen(mesh3, coarsen_plan(mesh3, idx))
+        mesh4, record = execute_coarsen(mesh3, leaf_mask(mesh3, idx))
         assert mesh4.is_balanced()
         assert brute_force_balanced(mesh4)
 
@@ -235,38 +229,40 @@ class TestExecuteCoarsen:
         # family refined again: merging the left family would put its parent
         # (level 2) next to level-4 leaves, so its only candidate is vetoed
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0, 1]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0, 1]))
         right = reference.locate(mesh2, (0.26, 0.01))
-        mesh3, _ = execute_refine(mesh2, refine_plan(mesh2, [right]))
+        mesh3, _ = execute_refine(mesh2, leaf_mask(mesh2, [right]))
         assert brute_force_balanced(mesh3)
         corners = ((0.01, 0.01), (0.2, 0.01), (0.01, 0.2), (0.2, 0.2))
         left = [reference.locate(mesh3, point) for point in corners]
-        plan = coarsen_plan(mesh3, left)
-        assert len(sibling_families(mesh3, plan.flags == Flag.COARSEN)) == 1
-        mesh4, record = execute_coarsen(mesh3, plan)
+        mask = leaf_mask(mesh3, left)
+        assert len(sibling_families(mesh3, mask)) == 1
+        mesh4, record = execute_coarsen(mesh3, mask)
         assert mesh4 is mesh3
         assert not len(record.merges)
         assert np.array_equal(record.copy_source, np.arange(mesh3.n_leaves))
 
-    def test_wrong_stage_rejected(self):
-        mesh = build_uniform(2, 2)
-        with pytest.raises(ValueError):
-            execute_coarsen(mesh, refine_plan(mesh, [0]))
-        with pytest.raises(ValueError):
-            execute_refine(mesh, coarsen_plan(mesh, [0]))
-
     def test_plan_size_mismatch_rejected(self):
         mesh = build_uniform(2, 2)
-        short = AdaptPlan(Stage.COARSEN_STAGE, np.zeros(3, np.int8))
-        with pytest.raises(ValueError):
-            execute_coarsen(mesh, short)
+        for execute in (execute_refine, execute_coarsen):
+            for n in (3, mesh.n_leaves + 1):
+                with pytest.raises(ValueError, match="bool mask of 16 leaves"):
+                    execute(mesh, np.zeros(n, dtype=bool))
+
+    def test_int_mask_rejected(self):
+        # an integer flag such as 2 would otherwise read as True
+        mesh = build_uniform(2, 2)
+        for execute in (execute_refine, execute_coarsen):
+            for dtype in (np.int8, np.int64):
+                with pytest.raises(ValueError, match="bool mask"):
+                    execute(mesh, np.full(mesh.n_leaves, 2, dtype=dtype))
 
     def test_roundtrip_topology(self):
         mesh = build_uniform(2, 3)
-        mesh2, record = execute_coarsen(mesh, coarsen_plan(mesh, list(range(4))))
+        mesh2, record = execute_coarsen(mesh, leaf_mask(mesh, list(range(4))))
         assert len(record.merges) == 1
         (new_idx,) = np.flatnonzero(record.copy_source < 0)
-        mesh3, _ = execute_refine(mesh2, refine_plan(mesh2, [new_idx]))
+        mesh3, _ = execute_refine(mesh2, leaf_mask(mesh2, [new_idx]))
         assert mesh3.n_leaves == mesh.n_leaves
         assert np.array_equal(mesh3.levels, mesh.levels)
         assert np.array_equal(mesh3.anchors, mesh.anchors)
@@ -278,7 +274,7 @@ class TestEnumerateNodes:
 
     def test_single_fine_patch_q1_hanging_half_weights(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
         nn = enumerate_nodes(mesh2, 1)
         assert len(nn.hanging) == 2  # one per coarse/fine edge
         for masters, weights in nn.hanging.values():
@@ -287,7 +283,7 @@ class TestEnumerateNodes:
 
     def test_q2_hanging_weights(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
         nn = enumerate_nodes(mesh2, 2)
         # fine edge nodes at coarse-edge coordinates xi = -1/2 and 0 exist;
         # xi = -1/2 carries the quadratic interpolation weights
@@ -307,7 +303,7 @@ class TestEnumerateNodes:
 
     def test_constraint_weights_sum_to_one(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0, 5, 12]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0, 5, 12]))
         for p in (1, 2):
             nn = enumerate_nodes(mesh2, p)
             for masters, weights in nn.hanging.values():
@@ -315,7 +311,7 @@ class TestEnumerateNodes:
 
     def test_masters_are_independent(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0, 1, 2, 3]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0, 1, 2, 3]))
         for p in (1, 2):
             nn = enumerate_nodes(mesh2, p)
             for masters, _ in nn.hanging.values():
@@ -324,7 +320,7 @@ class TestEnumerateNodes:
 
     def test_elem_nodes_reference_resolvable_dofs(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
         nn = enumerate_nodes(mesh2, 1)
         t = nn.constraint_matrix
         # rows of T sum to 1: the constant lives in the constrained space
@@ -368,7 +364,7 @@ class TestEnumerateNodes:
         from amrfem.mesh import _hanging_constraints
 
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, refine_plan(mesh, [0]))
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
         nn = enumerate_nodes(mesh2, 1)
         master = next(iter(nn.hanging.values()))[0][0]
         with pytest.raises(MeshStateError, match="not a mesh node"):
@@ -391,8 +387,8 @@ class TestEnumerateNodes:
         # row k of the table, k the node's offset along the coarse edge in
         # child-node spacings, bit for bit
         mesh = build_uniform(2, 2)
-        mesh, _ = execute_refine(mesh, refine_plan(mesh, [0, 5, 12]))
-        mesh, _ = execute_refine(mesh, refine_plan(mesh, [3]))
+        mesh, _ = execute_refine(mesh, leaf_mask(mesh, [0, 5, 12]))
+        mesh, _ = execute_refine(mesh, leaf_mask(mesh, [3]))
         nn = enumerate_nodes(mesh, p)
         t, coords = nn.constraint_matrix, nn.node_coords
         table = child_lattice_values(p)
@@ -417,8 +413,8 @@ class TestDissectionOrder:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_permutation_of_independent_dofs(self, dim, p):
         mesh = build_uniform(dim, 3)
-        mesh, _ = execute_refine(mesh, refine_plan(mesh, [0, 5]))
-        mesh, _ = execute_refine(mesh, refine_plan(mesh, [1]))
+        mesh, _ = execute_refine(mesh, leaf_mask(mesh, [0, 5]))
+        mesh, _ = execute_refine(mesh, leaf_mask(mesh, [1]))
         nn = enumerate_nodes(mesh, p)
         if dim == 2:
             assert nn.n_nodes > nn.n_dofs  # hanging nodes
@@ -452,28 +448,29 @@ class TestRepeatedCycles:
         for step in range(8):
             if step % 2 == 0:
                 idx = rng.choice(mesh.n_leaves, size=max(1, mesh.n_leaves // 5), replace=False)
-                mesh, _ = execute_refine(mesh, refine_plan(mesh, idx))
+                mesh, _ = execute_refine(mesh, leaf_mask(mesh, idx))
             else:
                 idx = rng.choice(mesh.n_leaves, size=max(4, mesh.n_leaves // 2), replace=False)
-                mesh, _ = execute_coarsen(mesh, coarsen_plan(mesh, idx))
+                mesh, _ = execute_coarsen(mesh, leaf_mask(mesh, idx))
             assert leaf_area_sum(mesh) == pytest.approx(1.0, abs=1e-13)
             assert mesh.is_balanced()
             assert brute_force_balanced(mesh)
 
 
 def _random_plan(rng, mesh, max_level):
-    """A refine plan biased toward the finest leaves, or a scattered coarsen plan."""
-    flags = np.zeros(mesh.n_leaves, np.int8)
+    """(refining, mask): a refine mask biased toward the finest leaves, or a
+    scattered coarsen mask."""
+    mask = np.zeros(mesh.n_leaves, dtype=bool)
     if rng.random() < 0.6:
         open_ = np.flatnonzero(mesh.levels < max_level)
         if open_.size:
             finest = open_[mesh.levels[open_] == mesh.levels[open_].max()]
             pool = finest if rng.random() < 0.6 else open_
             size = min(len(pool), int(rng.integers(1, 4)))
-            flags[rng.choice(pool, size=size, replace=False)] = Flag.REFINE
-        return AdaptPlan(Stage.REFINE_STAGE, flags)
-    flags[rng.random(mesh.n_leaves) < rng.uniform(0.3, 1.0)] = Flag.COARSEN
-    return AdaptPlan(Stage.COARSEN_STAGE, flags)
+            mask[rng.choice(pool, size=size, replace=False)] = True
+        return True, mask
+    mask[rng.random(mesh.n_leaves) < rng.uniform(0.3, 1.0)] = True
+    return False, mask
 
 
 def _assert_numbering_matches(mesh):
@@ -496,18 +493,18 @@ class TestAgainstLoopReference:
         for _ in range(sequences):
             mesh = build_uniform(dim, int(rng.integers(1, 3)))
             for _ in range(10):
-                plan = _random_plan(rng, mesh, max_level=9)
-                if plan.stage is Stage.REFINE_STAGE:
-                    new, record = execute_refine(mesh, plan)
-                    levels, anchors, src, cid = reference.refine(mesh, plan.flags)
+                refining, mask = _random_plan(rng, mesh, max_level=9)
+                if refining:
+                    new, record = execute_refine(mesh, mask)
+                    levels, anchors, src, cid = reference.refine(mesh, mask)
                     assert np.array_equal(record.source_leaf, src)
                     assert np.array_equal(record.child_id, cid)
                     # splitting without the closure may break 2:1 balance
-                    raw = MeshTopology(dim, *reference.split(mesh, plan.flags == Flag.REFINE)[:2])
+                    raw = MeshTopology(dim, *reference.split(mesh, mask)[:2])
                     assert raw.is_balanced() == reference.is_balanced(raw)
                 else:
-                    new, record = execute_coarsen(mesh, plan)
-                    levels, anchors, copy_source, merges = reference.coarsen(mesh, plan.flags)
+                    new, record = execute_coarsen(mesh, mask)
+                    levels, anchors, copy_source, merges = reference.coarsen(mesh, mask)
                     assert np.array_equal(record.copy_source, copy_source)
                     assert record.merges.shape == (len(merges), 2**dim)
                     for k, children, (k_ref, children_ref) in zip(
@@ -535,19 +532,20 @@ def _searched_faces(mesh):
 
 
 def _adapt_checked(mesh, plan):
-    """Apply ``plan`` and check the new mesh's face-neighbour table.
+    """Apply ``plan``, a ``_random_plan``, and check the new mesh's face-neighbour table.
 
     Returns the new mesh and, if it inherited its table from ``mesh``, the
     kind of step: "refine", "cascade" (the closure split unflagged leaves),
     "coarsen" or "veto" (a complete flagged family was kept).
     """
-    if plan.stage is Stage.REFINE_STAGE:
-        new, record = execute_refine(mesh, plan)
+    refining, mask = plan
+    if refining:
+        new, record = execute_refine(mesh, mask)
         split = np.count_nonzero(record.child_id == 0)
-        kind = "cascade" if split > np.count_nonzero(plan.flags == Flag.REFINE) else "refine"
+        kind = "cascade" if split > np.count_nonzero(mask) else "refine"
     else:
-        new, record = execute_coarsen(mesh, plan)
-        families = len(sibling_families(mesh, plan.flags == Flag.COARSEN))
+        new, record = execute_coarsen(mesh, mask)
+        families = len(sibling_families(mesh, mask))
         kind = "veto" if len(record.merges) < families else "coarsen"
     if new is mesh:
         return new, None

@@ -17,7 +17,7 @@ from amrfem.fem import (
     integrate_gauss,
     interpolate_nodal,
 )
-from amrfem.mesh import AdaptPlan, Flag, Stage, build_uniform, enumerate_nodes, execute_refine
+from amrfem.mesh import build_uniform, enumerate_nodes, execute_refine
 from amrfem.models import (
     CahnHilliardProblem,
     Diagnostics,
@@ -42,9 +42,9 @@ def field_mass(f):
 def hanging_node_mesh():
     """A level-5 mesh with a few refined leaves."""
     mesh = build_uniform(2, 5)
-    flags = np.zeros(mesh.n_leaves, np.int8)
-    flags[[3, 200, 201, 700]] = Flag.REFINE
-    return execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))[0]
+    refine = np.zeros(mesh.n_leaves, dtype=bool)
+    refine[[3, 200, 201, 700]] = True
+    return execute_refine(mesh, refine)[0]
 
 
 def hanging_node_step():
@@ -262,9 +262,9 @@ class TestChStep:
 
     def test_factor_keeps_symmetric_ordering_and_cuts_fill(self, monkeypatch):
         mesh = build_uniform(2, 6)
-        flags = np.zeros(mesh.n_leaves, np.int8)
-        flags[[5, 40, 41, 100, 170, 2000]] = Flag.REFINE
-        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+        refine = np.zeros(mesh.n_leaves, dtype=bool)
+        refine[[5, 40, 41, 100, 170, 2000]] = True
+        mesh, _ = execute_refine(mesh, refine)
         nn = enumerate_nodes(mesh, 1)
         assert nn.n_nodes > nn.n_dofs  # hanging nodes
         prob = CahnHilliardProblem(dt=5e-4, mass_tol=1e-13)

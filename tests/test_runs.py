@@ -7,7 +7,7 @@ from amrfem import runs
 from amrfem.config import ExperimentConfig
 from amrfem.fem import interpolate_nodal
 from amrfem.models import energy
-from amrfem.mesh import AdaptPlan, Flag, Stage, build_uniform, execute_refine
+from amrfem.mesh import build_uniform, execute_refine
 from amrfem.runs import convergence_slope, emit_outputs, run_mms, run_spinodal
 from amrfem.vtkio import write_vtk
 
@@ -50,6 +50,31 @@ class TestMmsSmall:
         res = run_mms(cfg, "conservative")
         assert abs(res.mass_drift_final) <= 1e-11
         assert res.n_coarsen_events > 0
+
+
+class TestDriverMode:
+    """Each driver runs one TransferMode; expanding "both" into two runs is the CLI's job."""
+
+    @pytest.mark.parametrize(
+        "run, cfg",
+        [
+            (
+                run_mms,
+                ExperimentConfig(kind="mms", degree=1, level=3, dt=0.02, t_final=0.04, mode="both"),
+            ),
+            (
+                run_spinodal,
+                ExperimentConfig(
+                    kind="spinodal", degree=1, bulk_level=2, interface_level=3,
+                    dt=5e-4, t_final=1e-3, seed=1, mode="both",
+                ),
+            ),
+        ],
+        ids=["mms", "spinodal"],
+    )
+    def test_both_is_rejected_not_run_as_injection(self, run, cfg):
+        with pytest.raises(ValueError, match="'both'"):
+            run(cfg)
 
 
 class TestSpinodalSmall:
@@ -109,9 +134,7 @@ class TestSpinodalSmall:
 class TestVtk:
     def test_legacy_ascii_structure(self, tmp_path):
         mesh = build_uniform(2, 1)
-        flags = np.zeros(4, np.int8)
-        flags[0] = Flag.REFINE
-        mesh, _ = execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+        mesh, _ = execute_refine(mesh, np.array([True, False, False, False]))
         f = interpolate_nodal(mesh, 1, lambda c: c[:, 0] + c[:, 1])
         path = tmp_path / "snap.vtk"
         write_vtk(path, mesh, 1, {"phi": f})

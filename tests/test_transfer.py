@@ -11,11 +11,8 @@ from amrfem.fem import (
     interpolate_nodal,
 )
 from amrfem.mesh import (
-    AdaptPlan,
-    Flag,
     MeshTopology,
     RefineRecord,
-    Stage,
     build_uniform,
     enumerate_nodes,
     execute_coarsen,
@@ -28,7 +25,6 @@ from amrfem.transfer import (
     restrict_gauss_field,
     transfer_coarsen_conservative,
     transfer_coarsen_injection,
-    transfer_refine,
 )
 from l2_distance import coarsen_l2_distance
 
@@ -37,19 +33,19 @@ def mass(f: NodalField) -> float:
     return integrate_gauss(eval_at_gauss(f))
 
 
+def leaf_mask(mesh, idx=None):
+    """True at the leaves ``idx``, or at every leaf."""
+    mask = np.zeros(mesh.n_leaves, dtype=bool)
+    mask[slice(None) if idx is None else idx] = True
+    return mask
+
+
 def refine(mesh, idx):
-    flags = np.zeros(mesh.n_leaves, np.int8)
-    flags[idx] = Flag.REFINE
-    return execute_refine(mesh, AdaptPlan(Stage.REFINE_STAGE, flags))
+    return execute_refine(mesh, leaf_mask(mesh, idx))
 
 
 def coarsen(mesh, idx=None):
-    flags = np.zeros(mesh.n_leaves, np.int8)
-    if idx is None:
-        flags[:] = Flag.COARSEN
-    else:
-        flags[idx] = Flag.COARSEN
-    return execute_coarsen(mesh, AdaptPlan(Stage.COARSEN_STAGE, flags))
+    return execute_coarsen(mesh, leaf_mask(mesh, idx))
 
 
 def demo_profile(c):
@@ -61,7 +57,7 @@ class TestTransferRefine:
         mesh = build_uniform(1, 0)
         f = NodalField(mesh, 1, np.array([1.0, 3.0]))
         mesh2, rec = refine(mesh, [0])
-        f2 = transfer_refine(f, rec)
+        f2 = refine_leaf_field(f, rec).nodal()
         vals = f2.node_values()
         assert sorted(vals) == pytest.approx([1.0, 2.0, 3.0])
 
@@ -70,7 +66,7 @@ class TestTransferRefine:
         f = interpolate_nodal(mesh, 1, demo_profile)
         before = mass(f)
         mesh2, rec = refine(mesh, list(range(mesh.n_leaves)))
-        f2 = transfer_refine(f, rec)
+        f2 = refine_leaf_field(f, rec).nodal()
         assert before == pytest.approx(10.6284, abs=1e-3)
         assert mass(f2) == pytest.approx(before, abs=1e-13)
 
@@ -78,7 +74,7 @@ class TestTransferRefine:
         mesh = build_uniform(2, 2)
         f = interpolate_nodal(mesh, 1, lambda c: np.full(len(c), 3.3))
         mesh2, rec = refine(mesh, [0, 5])
-        f2 = transfer_refine(f, rec)
+        f2 = refine_leaf_field(f, rec).nodal()
         assert np.abs(f2.values - 3.3).max() <= 1e-14
 
     def test_integral_preserved_2d_q2_random(self):
@@ -87,7 +83,7 @@ class TestTransferRefine:
         f = NodalField(mesh, 2, rng.standard_normal(enumerate_nodes(mesh, 2).n_dofs))
         before = mass(f)
         mesh2, rec = refine(mesh, [0, 3, 9])
-        f2 = transfer_refine(f, rec)
+        f2 = refine_leaf_field(f, rec).nodal()
         assert mass(f2) == pytest.approx(before, abs=1e-13)
 
     def test_mismatched_mesh_rejected(self):
@@ -96,7 +92,7 @@ class TestTransferRefine:
         f = interpolate_nodal(other, 1, lambda c: c[:, 0])
         _, rec = refine(mesh, [0])
         with pytest.raises(ValueError):
-            transfer_refine(f, rec)
+            refine_leaf_field(f, rec)
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -144,7 +140,8 @@ class TestLeafLocalTransfer:
             f = random_field(mesh, p, rng)
             for pick in (rng.choice(mesh.n_leaves, size=3, replace=False), []):
                 _, rec = refine(mesh, pick)
-                assert same_bits(transfer_refine(f, rec), reference.transfer_refine(f, rec))
+                got = refine_leaf_field(f, rec).nodal()
+                assert same_bits(got, reference.transfer_refine(f, rec))
 
     def test_injection_matches_key_search_oracle(self, dim, p):
         rng = np.random.default_rng(200 + 10 * dim + p)
@@ -182,7 +179,8 @@ class TestLeafLocalTransfer:
         mesh = adapted_mesh(dim, rng)
         f = random_field(mesh, p, rng)
         refined, rrec = refine(mesh, rng.choice(mesh.n_leaves, size=3, replace=False))
-        leaf, want = refine_leaf_field(f, rrec), transfer_refine(f, rrec)
+        leaf = refine_leaf_field(f, rrec)
+        want = leaf.nodal()
         for transfer in (transfer_coarsen_injection, transfer_coarsen_conservative):
             assert same_bits(transfer(f, coarsen(mesh, [])[1]), f)
             # leaves are written in Morton order here, not in refinement order
@@ -282,7 +280,7 @@ class TestConservative:
         mesh = build_uniform(2, 2)
         f = interpolate_nodal(mesh, 1, lambda c: 0.4 + c[:, 0] * c[:, 1])
         mesh2, rrec = refine(mesh, list(range(mesh.n_leaves)))
-        f_fine = transfer_refine(f, rrec)
+        f_fine = refine_leaf_field(f, rrec).nodal()
         _, crec = coarsen(mesh2)
         f_back = transfer_coarsen_conservative(f_fine, crec, tol=1e-14)
         assert f_back.mesh.n_leaves == mesh.n_leaves
@@ -366,7 +364,10 @@ class TestL2Optimality:
         assert np.array_equal(back_mesh.anchors, mesh.anchors)
         n_coarse = enumerate_nodes(coarse_mesh, p).n_dofs
         prolong = np.column_stack(
-            [transfer_refine(NodalField(coarse_mesh, p, e), rrec).values for e in np.eye(n_coarse)]
+            [
+                refine_leaf_field(NodalField(coarse_mesh, p, e), rrec).nodal().values
+                for e in np.eye(n_coarse)
+            ]
         )
         m_fine = assemble_mass(mesh, p).toarray()
 

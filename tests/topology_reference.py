@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from amrfem.errors import MeshStateError
-from amrfem.mesh import MAX_LEVEL, Flag, MeshTopology, _child_offsets
+from amrfem.mesh import MAX_LEVEL, MeshTopology, _child_offsets
 from amrfem.quadrature import element_nodal_basis
 
 _DOMAIN = 1 << MAX_LEVEL
@@ -103,10 +103,10 @@ def is_balanced(mesh: MeshTopology) -> bool:
     return True
 
 
-def refine(mesh: MeshTopology, flags: np.ndarray):
+def refine(mesh: MeshTopology, mask: np.ndarray):
     """Balance closure and child construction: (levels, anchors, source_leaf, child_id)."""
     levels, anchors, sizes = mesh.levels, mesh.anchors, mesh.leaf_sizes
-    flags = np.asarray(flags) == Flag.REFINE
+    flags = np.array(mask, dtype=bool)
     lookup = leaf_lookup(mesh)
     changed = True
     while changed:
@@ -179,14 +179,14 @@ def sibling_families(mesh: MeshTopology, eligible: np.ndarray) -> list[tuple[int
     return families
 
 
-def coarsen(mesh: MeshTopology, flags: np.ndarray):
+def coarsen(mesh: MeshTopology, mask: np.ndarray):
     """Veto fixpoint and mesh rebuild: (levels, anchors, copy_source, merges)."""
     dim = mesh.dim
     nchild = 2**dim
     lookup = leaf_lookup(mesh)
     candidates = {
         (lv, anchor): start
-        for start, lv, anchor in sibling_families(mesh, np.asarray(flags) == Flag.COARSEN)
+        for start, lv, anchor in sibling_families(mesh, np.asarray(mask, dtype=bool))
     }
 
     def merge_survives(parent_level: int, parent_anchor: tuple) -> bool:

@@ -5,9 +5,10 @@ interpolated child rows onto the refined mesh's nodes (unchanged leaves
 first, then children by child index, the last write winning), and
 ``transfer_coarsen_injection`` finds every independent coarse node among the
 fine mesh's sorted node keys. ``amrfem.transfer`` replaced them with
-leaf-local versions that number only the mesh they return;
-``tests/test_transfer.py`` requires the same values, bit for bit, on
-NodalFields.
+leaf-local versions that number only the mesh they return
+(``refine_leaf_field`` followed by ``LeafField.nodal``, and
+``transfer_coarsen_injection``); ``tests/test_transfer.py`` requires the
+same values, bit for bit, on NodalFields.
 """
 from __future__ import annotations
 
