@@ -424,8 +424,11 @@ def ch_step(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, start
     """Advance (phi, mu) by one backward-Euler step of length problem.dt.
 
     Newton starts from ``start`` ([phi; mu] on the same mesh), by default
-    the old state. If Newton fails, the step is retried once as two half
-    steps from the old state; a second failure propagates NewtonError with
+    the old state; ``run_spinodal`` passes the polynomial predictor of its
+    last increments, u_n + 2 d_0 - d_1 from the third step on. The start
+    steers Newton only: every iterate keeps the old state's mass. If Newton
+    fails, the step is retried once as two half steps from the old state,
+    not from ``start``; a second failure propagates NewtonError with
     the residual trace. The count returned is every Newton iteration taken,
     those of a failed full step included.
     """

@@ -250,11 +250,18 @@ def run_spinodal(
 
     Starts from the seeded random mixture on a uniform interface-level mesh
     (the whole domain is interface at t=0) and adapts after every step. A
-    Newton failure aborts the run but leaves the partial diagnostics. When
-    the mesh did not change since the previous step, Newton starts from the
-    linear extrapolation 2 u_n - u_(n-1) of the state u = [phi; mu], which
-    has the mass of u_n. ``mode`` (default ``config.mode``) names the
-    TransferMode of phi; "both" is not one.
+    Newton failure aborts the run but leaves the partial diagnostics.
+
+    Newton starts from a polynomial predictor of the state u = [phi; mu],
+    whether or not the mesh changed: from u_n at step 1, from u_n + d_0 at
+    step 2 and from the quadratic extrapolation u_n + 2 d_0 - d_1 after
+    that, with the increments d_0 = u_n - u_(n-1) and
+    d_1 = u_(n-1) - u_(n-2). The increments live on the current mesh;
+    their phi and mu parts go through each adaptation cycle like mu:
+    interpolated on refinement, injected on coarsening. The start only
+    steers Newton; ``ch_step`` keeps the mass of u_n whatever it is.
+    ``mode`` (default ``config.mode``) names the TransferMode of phi;
+    "both" is not one.
     """
     mode = mode or config.mode
     tmode = TransferMode(mode)
@@ -299,15 +306,17 @@ def run_spinodal(
     completed = True
     failure = ""
     newton_iterations = 0
-    previous = None  # (mesh, [phi; mu]) at the start of the last step
+    increments: list[np.ndarray] = []  # d_0 = u_n - u_(n-1), then d_1, on the current mesh
 
     n_steps = int(round(problem.t_final / problem.dt))
     snapshots = out_dir if out_dir and config.snapshot_every > 0 else None
     for step in range(1, n_steps + 1):
         t = step * problem.dt
         u = np.concatenate([phi.values, mu.values])
-        start = 2.0 * u - previous[1] if previous is not None and previous[0] is mesh else None
-        previous = (mesh, u)
+        if len(increments) == 2:
+            start = u + 2.0 * increments[0] - increments[1]
+        else:
+            start = u + increments[0] if increments else None
         try:
             t0 = time.perf_counter()
             phi, mu, iterations = ch_step(phi, mu, problem, start)
@@ -317,11 +326,17 @@ def run_spinodal(
             completed = False
             failure = f"newton failure at t={t:.6g}: {exc} (trace {exc.trace})"
             break
+        increments = [np.concatenate([phi.values, mu.values]) - u] + increments[:1]
         step_delta_e, step_energy = 0.0, None
         if step % config.adapt_every == 0:
             t0 = time.perf_counter()
+            carried = {  # no TransferMode: injected like mu
+                f"d{i}_{k}": NodalField(mesh, p, part)
+                for i, d in enumerate(increments)
+                for k, part in zip("pm", np.split(d, 2))
+            }
             mesh, fields, stats = adapt_cycle(
-                {"phi": phi, "mu": mu},
+                {"phi": phi, "mu": mu, **carried},
                 {"phi": tmode, "mu": TransferMode.INJECTION},
                 "phi",
                 crit,
@@ -330,6 +345,10 @@ def run_spinodal(
                 n_q=n_q,
             )
             phi, mu = fields["phi"], fields["mu"]
+            increments = [
+                np.concatenate([fields[f"d{i}_p"].values, fields[f"d{i}_m"].values])
+                for i in range(len(increments))
+            ]
             timers.transfer += time.perf_counter() - t0
             if stats.n_merged:
                 delta_e_events.append(stats.delta_e)

@@ -4,7 +4,10 @@ These are the four hand-written copies of the element gather, weight,
 scatter and constrain code that ``fem._element_rule``, ``_scatter_vector``
 and ``_scatter_matrix`` replace: the mass/stiffness operator and the load
 vector of ``fem``, and the f'(phi) vector and f''(phi) matrix of the
-Cahn-Hilliard Newton system. ``scatter_matrix_reference`` is the COO sum
+Cahn-Hilliard Newton system; the f''(phi) element matrices are one matmul
+with the basis-product table, as in ``fem._gauss_mass``, and
+``gauss_mass_einsum`` keeps the three-operand einsum that table replaced.
+``scatter_matrix_reference`` is the COO sum
 and T' A T product that ``fem._scatter_matrix`` replaces with a cached
 summation map. ``tests/test_fem.py`` requires the kernels to reproduce them
 bit for bit.
@@ -90,10 +93,18 @@ def _nonlinear_jacobian(
     gauss = node_vals[nn.elem_nodes] @ b
     jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
     wf = fe.d2f(gauss) * w[None, :] * jac[:, None]  # (n_e, n_q)
-    data = np.einsum("eq,aq,bq->eab", wf, b, b).ravel()
     n_loc = b.shape[0]
+    table = (b[:, None, :] * b[None, :, :]).reshape(n_loc * n_loc, -1).T  # N_a N_b at q
+    data = (wf @ table).ravel()
     rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
     cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
     mat = sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
     t = nn.constraint_matrix
     return (t.T @ (mat @ t)).tocsr()
+
+
+def gauss_mass_einsum(gf: GaussField) -> np.ndarray:
+    """Element matrices sum_q w_q |J| c_q N_a(x_q) N_b(x_q), by einsum."""
+    b, _, w, _, _, _ = _tables(gf.mesh.dim, gf.p, gf.n_q)
+    jac = (0.5 * gf.mesh.leaf_sizes_physical) ** gf.mesh.dim
+    return np.einsum("eq,aq,bq->eab", gf.values * w[None, :] * jac[:, None], b, b)

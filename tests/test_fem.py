@@ -347,6 +347,20 @@ def test_assembly_kernels_match_per_module_reference(dim, p, n_q_extra, energy):
     _assert_same_csr(jacobian(u), want)
 
 
+@pytest.mark.parametrize("n_q_extra", [None, 2])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gauss_mass_table_matches_einsum(dim, p, n_q_extra):
+    # the basis-product matmul sums over the Gauss points in another order
+    # than the einsum it replaced, so the two agree to roundoff, not bitwise
+    mesh = kernel_test_mesh(dim)
+    n_q = p + 1 if n_q_extra is None else p + n_q_extra
+    rng = np.random.default_rng(43 + 7 * dim + p)
+    gf = GaussField(mesh, p, n_q, rng.standard_normal((mesh.n_leaves, n_q**dim)))
+    want = _scatter_matrix(enumerate_nodes(mesh, p), ref.gauss_mass_einsum(gf))
+    assert abs(_gauss_mass(gf) - want).max() <= 1e-14 * abs(want).max()
+
+
 def _coarsened_level7():
     """A level-7 mesh coarsened twice outside a disc, as the MMS runs coarsen
     where the solution is smooth; hanging nodes ring the disc."""

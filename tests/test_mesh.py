@@ -142,10 +142,12 @@ class TestExecuteRefine:
 
     def test_double_refine_closure_keeps_balance(self):
         mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
-        # refine the deepest corner leaf again; closure must promote others
-        target = int(np.argmax(mesh2.levels))
-        mesh3, _ = execute_refine(mesh2, leaf_mask(mesh2, [target]))
+        mesh2, record = execute_refine(mesh, leaf_mask(mesh, [0]))
+        # refine the level-3 child that borders level-2 leaves: the closure
+        # must split those neighbours too
+        target = int(np.flatnonzero(record.child_id == 3)[0])
+        mesh3, record = execute_refine(mesh2, leaf_mask(mesh2, [target]))
+        assert np.count_nonzero(record.child_id == 0) > 1  # more leaves split than flagged
         assert brute_force_balanced(mesh3)
         assert leaf_area_sum(mesh3) == pytest.approx(1.0, abs=1e-14)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from amrfem import models, runs
+from amrfem import adapt, models, runs
 from amrfem.config import ExperimentConfig
 from amrfem.errors import NewtonError
 from amrfem.fem import (
@@ -17,7 +17,13 @@ from amrfem.fem import (
     integrate_gauss,
     interpolate_nodal,
 )
-from amrfem.mesh import build_uniform, enumerate_nodes, execute_refine
+from amrfem.mesh import (
+    CoarsenRecord,
+    RefineRecord,
+    build_uniform,
+    enumerate_nodes,
+    execute_refine,
+)
 from amrfem.models import (
     CahnHilliardProblem,
     Diagnostics,
@@ -33,6 +39,7 @@ from amrfem.models import (
     mms_exact,
     random_mixture_ic,
 )
+from amrfem.transfer import refine_leaf_field, transfer_coarsen_injection
 
 
 def field_mass(f):
@@ -409,32 +416,67 @@ class TestChStep:
             total += iters
         assert total <= 0.8 * 222
 
-    def test_extrapolated_start_only_on_an_unchanged_mesh(self, monkeypatch):
-        calls = []
-        real = runs.ch_step
+    def test_quadratic_start_carried_across_mesh_changes(self, monkeypatch):
+        calls, cycles = [], []
+        real_step, real_cycle = runs.ch_step, runs.adapt_cycle
 
-        def recording(phi, mu, problem, start=None):
-            out = real(phi, mu, problem, start)
-            calls.append((phi.mesh, np.concatenate([phi.values, mu.values]), start, out[2]))
+        def recording_step(phi, mu, problem, start=None):
+            out = real_step(phi, mu, problem, start)
+            calls.append((phi, mu, start, out))
             return out
 
-        monkeypatch.setattr(runs, "ch_step", recording)
+        def recording_cycle(*args, **kwargs):
+            cycles.append([])
+            return real_cycle(*args, **kwargs)
+
+        def recording(execute):
+            def wrapped(mesh, mask):
+                out = execute(mesh, mask)
+                cycles[-1].append(out[1])
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(runs, "ch_step", recording_step)
+        monkeypatch.setattr(runs, "adapt_cycle", recording_cycle)
+        monkeypatch.setattr(adapt, "execute_refine", recording(adapt.execute_refine))
+        monkeypatch.setattr(adapt, "execute_coarsen", recording(adapt.execute_coarsen))
         cfg = ExperimentConfig(
             kind="spinodal", degree=1, bulk_level=2, interface_level=4,
             band_lo=-0.05, band_hi=0.05, dt=5e-4, t_final=0.01, seed=1, mass_tol=1e-13,
         )  # the narrow band makes the mesh change at some steps and not at others
         res = runs.run_spinodal(cfg, "conservative")
-        assert res.completed and len(calls) == 20
-        assert calls[0][2] is None
-        unchanged = []
-        for (mesh0, u0, _, _), (mesh1, u1, start, _) in zip(calls, calls[1:]):
-            unchanged.append(mesh1 is mesh0)
-            if mesh1 is mesh0:
-                assert np.array_equal(start, 2.0 * u1 - u0)
-            else:
+        assert res.completed and len(calls) == len(cycles) == 20
+
+        def carry(f, records):
+            # what the cycle does to a field without a TransferMode
+            for rec in records:
+                if isinstance(rec, RefineRecord) and rec.mesh_new is not rec.mesh_old:
+                    f = refine_leaf_field(f, rec)
+                elif isinstance(rec, CoarsenRecord) and len(rec.merges):
+                    f = transfer_coarsen_injection(f, rec)
+            return f if isinstance(f, NodalField) else f.nodal()
+
+        increments, mesh = [], calls[0][0].mesh  # increments as carried onto mesh
+        for (phi, mu, start, out), records in zip(calls, cycles):
+            assert phi.mesh is mesh
+            u = np.concatenate([phi.values, mu.values])
+            if not increments:
                 assert start is None
-        assert any(unchanged) and not all(unchanged)
-        assert res.newton_iterations == sum(c[3] for c in calls) > 0
+            elif len(increments) == 1:
+                assert np.array_equal(start, u + increments[0])
+            else:
+                assert np.array_equal(start, u + 2.0 * increments[0] - increments[1])
+            new = np.concatenate([out[0].values, out[1].values]) - u
+            parts = [
+                [carry(NodalField(mesh, 1, part), records) for part in np.split(d, 2)]
+                for d in [new] + increments[:1]
+            ]
+            increments = [np.concatenate([f.values for f in pair]) for pair in parts]
+            mesh = parts[0][0].mesh
+        changed = [a[0].mesh is not b[0].mesh for a, b in zip(calls, calls[1:])]
+        assert any(changed) and not all(changed)
+        assert res.newton_iterations == sum(c[3][2] for c in calls) > 0
 
     def test_retry_counts_the_failed_full_step(self, monkeypatch):
         real = models._ch_substep
