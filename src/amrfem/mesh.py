@@ -9,13 +9,15 @@ Sampath & Biros, SISC 2008), so a whole array of neighbour queries is one
 edge balance is enforced by promoting extra leaves during refinement and by
 vetoing merges during coarsening. Each mesh keeps one face-neighbour table,
 which the balance check, the refine closure, the coarsen veto and the
-hanging-node constraints all read. A uniform mesh searches all its faces
-once; a refined or coarsened mesh inherits its parent's table and searches
-again only the faces of new leaves and of copies whose old neighbour was
-split or merged (p4est likewise keeps its neighbour data across an
-adaptation: Burstedde, Wilcox & Ghattas, SISC 2011). Node enumeration
-builds the continuous-Galerkin numbering for a given degree, including the
-hanging-node constraint matrix on coarse/fine interfaces.
+hanging-node constraints all read whole. A uniform mesh searches all its
+faces once; a refined or coarsened mesh inherits its parent's table and
+searches again only the faces of new leaves and of copies whose old
+neighbour was split or merged (p4est likewise keeps its neighbour data
+across an adaptation: Burstedde, Wilcox & Ghattas, SISC 2011). Node
+enumeration builds the continuous-Galerkin numbering for a given degree,
+including the hanging-node constraint matrix on coarse/fine interfaces:
+wherever the table names a neighbour one level coarser, the hanging node
+and its masters are read off the two leaves' own node rows.
 """
 from __future__ import annotations
 
@@ -125,7 +127,13 @@ class MeshTopology:
 
     @cached_property
     def _face_neighbours(self) -> np.ndarray:
-        """neighbour_leaves for every face, one row per (axis, side).
+        """Each leaf's neighbour across each face, one row per (axis, side).
+
+        Entry (2 * axis + side, i) is the leaf containing the anchor of the
+        same-size cell across that face of leaf i (``side`` 0 = low, 1 =
+        high): the neighbour itself when it is as coarse or coarser, else
+        the finer leaf in that cell's anchor corner; -1 on the domain
+        boundary. Every consumer reads the whole table at once.
 
         ``execute_refine`` and ``execute_coarsen`` set it on the meshes they
         make (see ``_inherit_face_neighbours``); other meshes search all
@@ -174,25 +182,11 @@ class MeshTopology:
             return f"{kind} after leaf {order[k]} in Morton order"
         if ends[-1] != np.uint64(_DOMAIN**self.dim):
             return f"leaf {order[-1]}, last in Morton order, does not end at the domain end"
-        too_fine = np.zeros(self.n_leaves, dtype=bool)
-        for axis, side in _faces(self.dim):
-            j = neighbour_leaves(self, axis, side)
-            too_fine |= (j >= 0) & (self.levels - self.levels[j] >= 2)
+        j = self._face_neighbours
+        too_fine = np.any((j >= 0) & (self.levels - self.levels[j] >= 2), axis=0)
         if too_fine.any():
             return f"leaf {np.flatnonzero(too_fine)[0]} is two levels finer than an edge neighbour"
         return None
-
-
-def neighbour_leaves(mesh: MeshTopology, axis: int, side: int) -> np.ndarray:
-    """Each leaf's neighbour across one face, -1 on the domain boundary.
-
-    Returns, per leaf, the leaf containing the anchor of the same-size cell
-    across the face normal to ``axis`` (``side`` 0 = low, 1 = high): the
-    neighbour itself when it is as coarse or coarser, else the finer leaf in
-    that cell's anchor corner. Read from the mesh's face-neighbour table:
-    inherited through refine and coarsen, else searched once for all faces.
-    """
-    return mesh._face_neighbours[2 * axis + side]
 
 
 @dataclass
@@ -286,13 +280,9 @@ def execute_refine(mesh: MeshTopology, refine: np.ndarray) -> tuple[MeshTopology
     # Balance closure: flagging a leaf can force coarser edge-neighbours to
     # refine as well. Effective levels are level + refine; sweep every
     # (leaf, coarser neighbour) pair at once until no flag changes.
-    fine, coarse = [], []
-    for axis, side in _faces(mesh.dim):
-        j = neighbour_leaves(mesh, axis, side)
-        i = np.flatnonzero((j >= 0) & (levels > levels[j]))
-        fine.append(i)
-        coarse.append(j[i])
-    fine, coarse = np.concatenate(fine), np.concatenate(coarse)
+    j = mesh._face_neighbours
+    pairs = (j >= 0) & (levels > levels[j])
+    fine, coarse = np.nonzero(pairs)[1], j[pairs]
     while True:
         eff = levels + refine
         promote = coarse[eff[fine] - eff[coarse] >= 2]
@@ -606,7 +596,7 @@ def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
         )
 
     dof_of_node, tmat = _constraint_matrix(
-        len(node_keys), *_hanging_constraints(mesh, p, node_keys)
+        len(node_keys), *_hanging_constraints(mesh, p, elem_nodes)
     )
     numbering = NodeNumbering(
         p=p,
@@ -621,51 +611,34 @@ def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
     return numbering
 
 
-def _hanging_constraints(mesh: MeshTopology, p: int, node_keys: np.ndarray):
+def _hanging_constraints(mesh: MeshTopology, p: int, elem_nodes: np.ndarray):
     """Hanging nodes on coarse/fine edges: (nodes, master nodes, weights).
 
-    A fine leaf's edge node that is not also a node of its coarser edge
-    neighbour hangs. Its masters are the coarse edge's p + 1 nodes and its
-    weights row k of ``child_lattice_values``, k being its offset along the
-    coarse edge in child-node spacings. 2:1 balance keeps every master
-    independent.
+    Each (face, fine leaf) of the face table whose neighbour j is one level
+    coarser holds one hanging node: the fine leaf's own node on that face
+    whose offset along the coarse edge, in child-node spacings (0 .. 2p),
+    is odd. Its masters are j's p + 1 nodes on the opposite face, in
+    ascending node order, and its weights row ``offset`` of
+    ``child_lattice_values``. 2:1 balance keeps every master independent.
     """
     if mesh.dim == 1:  # faces are points: nothing hangs
         return np.empty(0, np.int64), np.empty((0, p + 1), np.int64), np.empty((0, p + 1))
-    k = np.arange(p + 1, dtype=np.int64)
-    points, offsets = [], []
-    for axis, side in _faces(2):
-        j = neighbour_leaves(mesh, axis, side)
-        fine = np.flatnonzero((j >= 0) & (mesh.levels[j] == mesh.levels - 1))
-        j = j[fine]
-        h = mesh.leaf_sizes[fine]
-        # Shared edge plane and positions along it, in node-lattice units
-        # (2x anchor resolution); child nodes are 2h/p apart.
-        plane = 2 * (mesh.anchors[fine, axis] + side * h)
-        coarse_lo = 2 * mesh.anchors[j, 1 - axis]
-        # Offsets along the coarse edge in child-node spacings, 0 .. 2p.
-        upper = mesh.anchors[fine, 1 - axis] > mesh.anchors[j, 1 - axis]
-        offset = upper[:, None] * p + k
-        # Masters sit at even offsets; the fine edge nodes between them hang.
-        row, col = np.nonzero(offset % 2)
-        # One row per hanging node: the node itself, then its masters.
-        steps = np.column_stack([offset[row, col], np.broadcast_to(2 * k, (len(row), p + 1))])
-        along = coarse_lo[row, None] + steps * (2 * h[row, None] // p)
-        across = np.broadcast_to(plane[row, None], along.shape)
-        points.append((across, along) if axis == 0 else (along, across))
-        offsets.append(offset[row, col])
-    keys = np.concatenate([_encode_keys(kx, ky) for kx, ky in points])
-    ids = np.minimum(np.searchsorted(node_keys, keys), len(node_keys) - 1)
-    missing = np.flatnonzero(node_keys[ids] != keys)
-    if missing.size:
-        key = keys.flat[missing[0]]
-        raise MeshStateError(
-            f"hanging-node constraint refers to lattice point ({key >> _KEY_SHIFT}, "
-            f"{key & np.int64((1 << 32) - 1)}), which is not a mesh node"
-        )
+    table = mesh._face_neighbours
+    face, fine = np.nonzero((table >= 0) & (mesh.levels[table] == mesh.levels - 1))
+    j = table[face, fine]
+    axis, side = face >> 1, face & 1
+    # upper: the fine leaf covers the far half of the coarse face.
+    upper = mesh.anchors[fine, 1 - axis] > mesh.anchors[j, 1 - axis]
+    t = (upper * p + 1) % 2  # position along the fine face that makes the offset odd
+    offset = upper * p + t
+    # elem_nodes runs x fastest: node (ix, iy) is column ix + (p + 1) * iy.
+    normal, tangent = np.array([1, p + 1])[axis], np.array([p + 1, 1])[axis]
+    hanging = elem_nodes[fine, side * p * normal + t * tangent]
+    along = np.arange(p + 1) * tangent[:, None]
+    masters = elem_nodes[j[:, None], ((1 - side) * p * normal)[:, None] + along]
     # Two fine leaves sharing a coarse edge give the same constraint twice.
-    nodes, first = np.unique(ids[:, 0], return_index=True)
-    return nodes, ids[first, 1:], child_lattice_values(p)[np.concatenate(offsets)[first]]
+    nodes, first = np.unique(hanging, return_index=True)
+    return nodes, masters[first], child_lattice_values(p)[offset[first]]
 
 
 def _constraint_matrix(n_nodes: int, hanging, masters, weights):

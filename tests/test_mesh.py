@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +9,17 @@ from amrfem.errors import MeshStateError
 from amrfem.mesh import (
     MAX_LEVEL,
     MeshTopology,
+    _constraint_matrix,
+    _hanging_constraints,
     build_uniform,
     enumerate_nodes,
     execute_coarsen,
     execute_refine,
-    neighbour_leaves,
     sibling_families,
 )
 from amrfem.quadrature import child_lattice_values
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def leaf_mask(mesh, idx=None):
@@ -362,20 +367,8 @@ class TestEnumerateNodes:
         with pytest.raises(MeshStateError, match="overlap after leaf 0"):
             enumerate_nodes(doubled, 1)
 
-    def test_constraint_to_missing_node_raises(self):
-        from amrfem.mesh import _hanging_constraints
-
-        mesh = build_uniform(2, 2)
-        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
-        nn = enumerate_nodes(mesh2, 1)
-        master = next(iter(nn.hanging.values()))[0][0]
-        with pytest.raises(MeshStateError, match="not a mesh node"):
-            _hanging_constraints(mesh2, 1, np.delete(nn.node_keys, master))
-
     def test_chained_or_cyclic_constraints_raise(self):
         # node 0 hangs on 1 and 3, node 1 on 2 and 3: the master 1 hangs
-        from amrfem.mesh import _constraint_matrix
-
         hanging, masters = np.array([0, 1]), np.array([[1, 3], [2, 3]])
         with pytest.raises(MeshStateError, match="hanging node 0 has master node 1"):
             _constraint_matrix(4, hanging, masters, np.full((2, 2), 0.5))
@@ -484,6 +477,22 @@ def _assert_numbering_matches(mesh):
         assert t.shape == t_ref.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(t, attr), getattr(t_ref, attr))
+    _assert_constraints_match_search(mesh)
+
+
+def _assert_constraints_match_search(mesh):
+    """Constraints and T equal the key-search oracle's, bit for bit, for p = 1 and 2."""
+    for p in (1, 2):
+        nn = enumerate_nodes(mesh, p)
+        got = _hanging_constraints(mesh, p, nn.elem_nodes)
+        ref = reference.searched_constraints(mesh, p, nn.node_keys)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        t, t_ref = nn.constraint_matrix, _constraint_matrix(nn.n_nodes, *ref)[1]
+        assert t.shape == t_ref.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(t, attr), getattr(t_ref, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestAgainstLoopReference:
@@ -552,11 +561,11 @@ def _adapt_checked(mesh, plan):
     if new is mesh:
         return new, None
     inherited = "_face_neighbours" in vars(new)
-    faces = [(axis, side) for axis in range(new.dim) for side in (0, 1)]
-    table = np.stack([neighbour_leaves(new, axis, side) for axis, side in faces])
+    table = new._face_neighbours
     assert np.array_equal(table, _searched_faces(new))
     assert np.array_equal(table, reference.face_neighbours(new))
     assert (table == -1).any()  # boundary faces
+    _assert_constraints_match_search(new)
     return new, kind if inherited else None
 
 
@@ -581,3 +590,58 @@ class TestInheritedFaceTable:
                 mesh, kind = _adapt_checked(mesh, _random_plan(rng, mesh, max_level=8))
                 seen.add(kind)
         assert {"refine", "cascade", "coarsen", "veto"} <= seen
+
+
+def _amr_cycle_mesh():
+    """The amr-cycle-l8 benchmark mesh: its set-up, then three cycles at seed 3."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(PERFBENCH)
+        import workloads
+    w = workloads.AmrCycle()
+    mesh, tracer = w.setup()
+    angle = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi)
+    for k in range(1, 4):
+        centre = 0.5 + 0.75 * w.fine_h * k * np.array([np.cos(angle), np.sin(angle)])
+        mesh, tracer, _ = w.cycle(mesh, tracer, centre)
+    return mesh
+
+
+class _FirstMerge(Exception):
+    """Carries the first coarsened mesh out of ``run_mms``."""
+
+
+def _mms_coarsened_mesh():
+    """The mms-q1-l7 benchmark's first coarsened mesh, caught as run_mms makes it."""
+    from amrfem import runs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(PERFBENCH)
+        import workloads
+
+        cycle = runs.adapt_cycle
+
+        def first_merge(*args, **kwargs):
+            mesh, fields, stats = cycle(*args, **kwargs)
+            if stats.n_merged:
+                raise _FirstMerge(mesh)
+            return mesh, fields, stats
+
+        mp.setattr(runs, "adapt_cycle", first_merge)
+        with pytest.raises(_FirstMerge) as caught:
+            runs.run_mms(workloads.Mms().config())
+    return caught.value.args[0]
+
+
+class TestConstraintsAgainstSearch:
+    """At benchmark scale, where the loop oracle is too slow, the constraints
+    read off the node rows equal the key-search oracle's."""
+
+    @pytest.mark.parametrize(
+        "build, min_hanging",
+        [(_amr_cycle_mesh, 900), (_mms_coarsened_mesh, 100)],
+        ids=["amr-cycle-l8", "mms-q1-l7"],
+    )
+    def test_benchmark_meshes(self, build, min_hanging):
+        mesh = build()
+        assert len(enumerate_nodes(mesh, 1).hanging) >= min_hanging
+        _assert_constraints_match_search(mesh)

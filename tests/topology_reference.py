@@ -9,6 +9,11 @@ the hanging-node constraints with their chain folding.
 exactly. They are slow (a dict lookup per leaf, per direction, per level
 walked) and only meant for small meshes. ``locate`` is a test helper that
 finds the leaf under a physical point.
+
+``searched_constraints`` is fast enough for benchmark-size meshes: the
+vectorised hanging-node rule that encodes the lattice keys of each hanging
+node and its masters and looks them up in the sorted node keys, which the
+library replaced by reading both off the leaves' own node rows.
 """
 from __future__ import annotations
 
@@ -16,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from amrfem.errors import MeshStateError
-from amrfem.mesh import MAX_LEVEL, MeshTopology, _child_offsets
-from amrfem.quadrature import element_nodal_basis
+from amrfem.mesh import MAX_LEVEL, MeshTopology, _child_offsets, _encode_keys, _faces
+from amrfem.quadrature import child_lattice_values, element_nodal_basis
 
 _DOMAIN = 1 << MAX_LEVEL
 
@@ -331,3 +336,44 @@ def constraint_matrix(n_nodes: int, hanging: dict) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_nodes, len(independent)),
     )
+
+
+def searched_constraints(mesh: MeshTopology, p: int, node_keys: np.ndarray):
+    """Hanging nodes on coarse/fine edges: (nodes, master nodes, weights).
+
+    Per face, the fine leaves whose neighbour is one level coarser; for each,
+    the lattice keys of its hanging node and of the coarse edge's p + 1
+    masters, looked up in ``node_keys``. The weights are row k of
+    ``child_lattice_values``, k being the hanging node's offset along the
+    coarse edge in child-node spacings.
+    """
+    if mesh.dim == 1:
+        return np.empty(0, np.int64), np.empty((0, p + 1), np.int64), np.empty((0, p + 1))
+    k = np.arange(p + 1, dtype=np.int64)
+    points, offsets = [], []
+    for axis, side in _faces(2):
+        j = mesh._face_neighbours[2 * axis + side]
+        fine = np.flatnonzero((j >= 0) & (mesh.levels[j] == mesh.levels - 1))
+        j = j[fine]
+        h = mesh.leaf_sizes[fine]
+        # Shared edge plane and positions along it, in node-lattice units
+        # (2x anchor resolution); child nodes are 2h/p apart.
+        plane = 2 * (mesh.anchors[fine, axis] + side * h)
+        coarse_lo = 2 * mesh.anchors[j, 1 - axis]
+        upper = mesh.anchors[fine, 1 - axis] > mesh.anchors[j, 1 - axis]
+        offset = upper[:, None] * p + k
+        # Masters sit at even offsets; the fine edge nodes between them hang.
+        row, col = np.nonzero(offset % 2)
+        # One row per hanging node: the node itself, then its masters.
+        steps = np.column_stack([offset[row, col], np.broadcast_to(2 * k, (len(row), p + 1))])
+        along = coarse_lo[row, None] + steps * (2 * h[row, None] // p)
+        across = np.broadcast_to(plane[row, None], along.shape)
+        points.append((across, along) if axis == 0 else (along, across))
+        offsets.append(offset[row, col])
+    keys = np.concatenate([_encode_keys(kx, ky) for kx, ky in points])
+    ids = np.minimum(np.searchsorted(node_keys, keys), len(node_keys) - 1)
+    missing = np.flatnonzero(node_keys[ids] != keys)
+    if missing.size:
+        raise MeshStateError(f"lattice key {keys.flat[missing[0]]} is not a mesh node")
+    nodes, first = np.unique(ids[:, 0], return_index=True)
+    return nodes, ids[first, 1:], child_lattice_values(p)[np.concatenate(offsets)[first]]
