@@ -162,10 +162,12 @@ def adapt_cycle(
     node numbering. The refine stage interpolates every field leaf by leaf
     onto the refined mesh (``refine_leaf_field``); marking and coarsening
     read those per-leaf values, and during coarsening each field uses its
-    own TransferMode. When nothing merges, the per-leaf values are scattered
-    onto the refined mesh. When merges happen and an energy functional is
-    supplied, the energy mismatch of the conserved field across the
-    coarsening transfer is recorded, together with the energy after it.
+    own TransferMode (injection if none); a block field, (n_dofs, k) values,
+    is injected with one gather and one scatter per stage. When nothing
+    merges, the per-leaf values are scattered onto the refined mesh. When
+    merges happen and an energy functional is supplied, the energy mismatch
+    of the conserved field across the coarsening transfer is recorded,
+    together with the energy after it.
 
     As soon as a stage returns a new mesh, every numbering of the mesh it
     replaces releases its operators (``NodeNumbering.release_operators``),

@@ -39,7 +39,8 @@ __all__ = [
 
 @dataclass
 class NodalField:
-    """One value per independent global node of (mesh, degree)."""
+    """One value per independent global node of (mesh, degree), or one row of
+    k for a block of k fields: shape (n_dofs[, k])."""
 
     mesh: MeshTopology
     p: int
@@ -48,7 +49,7 @@ class NodalField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         nn = enumerate_nodes(self.mesh, self.p)
-        if self.values.shape != (nn.n_dofs,):
+        if self.values.shape[:1] != (nn.n_dofs,) or self.values.ndim > 2:
             raise ValueError(
                 f"field length {self.values.shape} does not match {nn.n_dofs} dofs"
             )
@@ -61,20 +62,21 @@ class NodalField:
         return self.numbering.node_values(self.values)
 
     def element_values(self) -> np.ndarray:
-        """Per-leaf local node values, constraint-resolved; shape (n_leaves, n_loc)."""
+        """Per-leaf local node values, constraint-resolved; shape (n_leaves, n_loc[, k])."""
         return self.node_values()[self.numbering.elem_nodes]
 
 
 @dataclass
 class LeafField:
     """A CG field held leaf by leaf: the rows ``NodalField.element_values``
-    would return, shape (n_leaves, n_loc), without a node numbering.
+    would return, shape (n_leaves, n_loc[, k]), without a node numbering.
 
     Rows of leaves that share a node agree up to round-off. Everything that
     reads a field only through ``element_values`` (Gauss evaluation, energy,
-    marking, coarsening transfers) accepts one. ``nodal`` scatters the rows
-    through the mesh's numbering, leaves in ``write_order`` (default: Morton
-    order), so the last leaf written sets each shared node.
+    marking, coarsening transfers) accepts one; a block of k fields only
+    crosses refinement and injection. ``nodal`` scatters the rows through
+    the mesh's numbering, leaves in ``write_order`` (default: Morton order),
+    so the last leaf written sets each shared node.
     """
 
     mesh: MeshTopology
@@ -85,7 +87,7 @@ class LeafField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         expected = (self.mesh.n_leaves, (self.p + 1) ** self.mesh.dim)
-        if self.values.shape != expected:
+        if self.values.shape[:2] != expected or self.values.ndim > 3:
             raise ValueError(f"leaf block shape {self.values.shape} != {expected}")
 
     def element_values(self) -> np.ndarray:
@@ -97,7 +99,7 @@ class LeafField:
         if self.write_order is not None:
             nodes = np.take(nodes, self.write_order, axis=0)
             values = np.take(values, self.write_order, axis=0)
-        node_vals = np.empty(nn.n_nodes)
+        node_vals = np.empty((nn.n_nodes,) + values.shape[2:])
         node_vals[nodes] = values
         return NodalField(self.mesh, self.p, node_vals[nn.dof_of_node >= 0])
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .adapt import InterfaceCriterion, MmsCriterion, adapt_cycle
 from .config import ExperimentConfig
-from .errors import NewtonError
+from .errors import NewtonError, SolverError
 from .fem import (
     NodalField,
     eval_at_gauss,
@@ -249,15 +249,18 @@ def run_spinodal(
     """Spinodal decomposition on the two-level adaptive mesh.
 
     Starts from the seeded random mixture on a uniform interface-level mesh
-    (the whole domain is interface at t=0) and adapts after every step. A
-    Newton failure aborts the run but leaves the partial diagnostics.
+    (the whole domain is interface at t=0) and adapts after every step.
+    Snapshots go into ``out_dir``, which is created if missing. A
+    ``SolverError`` (a Newton failure or a PCG breakdown) or an ``OSError``
+    from a snapshot write ends the run with ``completed = False``, a failure
+    message and the diagnostics rows of the steps done so far.
 
     Newton starts from a polynomial predictor of the state u = [phi; mu],
     whether or not the mesh changed: from u_n at step 1, from u_n + d_0 at
     step 2 and from the quadratic extrapolation u_n + 2 d_0 - d_1 after
     that, with the increments d_0 = u_n - u_(n-1) and
-    d_1 = u_(n-1) - u_(n-2). The increments live on the current mesh;
-    their phi and mu parts go through each adaptation cycle like mu:
+    d_1 = u_(n-1) - u_(n-2), on the current mesh. mu and the increments'
+    phi and mu parts cross each adaptation cycle as one block field:
     interpolated on refinement, injected on coarsening. The start only
     steers Newton; ``ch_step`` keeps the mass of u_n whatever it is.
     ``mode`` (default ``config.mode``) names the TransferMode of phi;
@@ -310,61 +313,60 @@ def run_spinodal(
 
     n_steps = int(round(problem.t_final / problem.dt))
     snapshots = out_dir if out_dir and config.snapshot_every > 0 else None
-    for step in range(1, n_steps + 1):
-        t = step * problem.dt
-        u = np.concatenate([phi.values, mu.values])
-        if len(increments) == 2:
-            start = u + 2.0 * increments[0] - increments[1]
-        else:
-            start = u + increments[0] if increments else None
-        try:
+    if snapshots:
+        os.makedirs(snapshots, exist_ok=True)
+    try:
+        for step in range(1, n_steps + 1):
+            t = step * problem.dt
+            u = np.concatenate([phi.values, mu.values])
+            if len(increments) == 2:
+                start = u + 2.0 * increments[0] - increments[1]
+            else:
+                start = u + increments[0] if increments else None
             t0 = time.perf_counter()
             phi, mu, iterations = ch_step(phi, mu, problem, start)
             timers.pde_solve += time.perf_counter() - t0
             newton_iterations += iterations
-        except NewtonError as exc:
-            completed = False
-            failure = f"newton failure at t={t:.6g}: {exc} (trace {exc.trace})"
-            break
-        increments = [np.concatenate([phi.values, mu.values]) - u] + increments[:1]
-        step_delta_e, step_energy = 0.0, None
-        if step % config.adapt_every == 0:
-            t0 = time.perf_counter()
-            carried = {  # no TransferMode: injected like mu
-                f"d{i}_{k}": NodalField(mesh, p, part)
-                for i, d in enumerate(increments)
-                for k, part in zip("pm", np.split(d, 2))
-            }
-            mesh, fields, stats = adapt_cycle(
-                {"phi": phi, "mu": mu, **carried},
-                {"phi": tmode, "mu": TransferMode.INJECTION},
-                "phi",
-                crit,
-                energy_fn=energy_fn,
-                project_tol=config.mass_tol,
-                n_q=n_q,
-            )
-            phi, mu = fields["phi"], fields["mu"]
-            increments = [
-                np.concatenate([fields[f"d{i}_p"].values, fields[f"d{i}_m"].values])
-                for i in range(len(increments))
-            ]
-            timers.transfer += time.perf_counter() - t0
-            if stats.n_merged:
-                delta_e_events.append(stats.delta_e)
-                step_delta_e = stats.delta_e
-            step_energy = stats.energy  # phi's energy, when the cycle computed it
-        if step_energy is None:
-            step_energy = energy_fn(phi)
-        nn = enumerate_nodes(mesh, p)
-        diag.add(t, _field_mass(phi, n_q), step_energy, step_delta_e, mesh.n_leaves, nn.n_dofs)
-        if snapshots and step % config.snapshot_every == 0:
-            write_vtk(
-                os.path.join(snapshots, f"snapshot_{mode}_{step:06d}.vtk"),
-                mesh,
-                p,
-                {"phi": phi, "mu": mu},
-            )
+            increments = [np.concatenate([phi.values, mu.values]) - u] + increments[:1]
+            step_delta_e, step_energy = 0.0, None
+            if step % config.adapt_every == 0:
+                t0 = time.perf_counter()
+                # columns mu, d_0 phi, d_0 mu, d_1 phi, d_1 mu; no TransferMode: injected
+                carried = np.concatenate([mu.values, *increments]).reshape(-1, len(mu.values)).T
+                mesh, fields, stats = adapt_cycle(
+                    {"phi": phi, "carried": NodalField(mesh, p, carried)},
+                    {"phi": tmode},
+                    "phi",
+                    crit,
+                    energy_fn=energy_fn,
+                    project_tol=config.mass_tol,
+                    n_q=n_q,
+                )
+                phi, carried = fields["phi"], np.ascontiguousarray(fields["carried"].values.T)
+                mu = NodalField(mesh, p, carried[0])
+                increments = list(carried[1:].reshape(len(increments), -1))
+                timers.transfer += time.perf_counter() - t0
+                if stats.n_merged:
+                    delta_e_events.append(stats.delta_e)
+                    step_delta_e = stats.delta_e
+                step_energy = stats.energy  # phi's energy, when the cycle computed it
+            if step_energy is None:
+                step_energy = energy_fn(phi)
+            nn = enumerate_nodes(mesh, p)
+            diag.add(t, _field_mass(phi, n_q), step_energy, step_delta_e, mesh.n_leaves, nn.n_dofs)
+            if snapshots and step % config.snapshot_every == 0:
+                write_vtk(
+                    os.path.join(snapshots, f"snapshot_{mode}_{step:06d}.vtk"),
+                    mesh,
+                    p,
+                    {"phi": phi, "mu": mu},
+                )
+    except NewtonError as exc:
+        completed = False
+        failure = f"newton failure at t={t:.6g}: {exc} (trace {exc.trace})"
+    except (SolverError, OSError) as exc:  # a PCG breakdown or a failed snapshot write
+        completed = False
+        failure = f"{type(exc).__name__} at t={t:.6g}: {exc}"
 
     drift = diag.mass_drift()
     timers.total = time.perf_counter() - t_start

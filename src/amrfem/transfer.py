@@ -90,11 +90,13 @@ def refine_leaf_field(field: NodalField, record: RefineRecord) -> LeafField:
     # times slower
     groups = [np.flatnonzero(record.child_id == cid) for cid in range(-1, 2**mesh.dim)]
     old = field.element_values()
-    blocks = [np.take(old, record.source_leaf[g], axis=0) for g in groups]
+    # (k, n_leaves, n_loc): one product per column, so BLAS picks a single field's kernel
+    columns = np.moveaxis(np.atleast_3d(old), 2, 0)
+    blocks = [np.take(columns, record.source_leaf[g], axis=1) for g in groups]
     blocks[1:] = [b @ _child_interp(mesh.dim, field.p, c).T for c, b in enumerate(blocks[1:])]
     order = np.concatenate(groups)
-    rows = np.empty((mesh.n_leaves, old.shape[1]))
-    rows[order] = np.concatenate(blocks)
+    rows = np.empty((mesh.n_leaves,) + old.shape[1:])
+    np.moveaxis(np.atleast_3d(rows), 2, 0)[:, order] = np.concatenate(blocks, axis=1)
     return LeafField(mesh, field.p, rows, write_order=order)
 
 
@@ -109,13 +111,12 @@ def transfer_coarsen_injection(
     if field.mesh is not record.mesh_old:
         raise ValueError("field does not live on the record's source mesh")
     fine = field.element_values()
-    n_loc = fine.shape[1]
-    rows = np.empty((record.mesh_new.n_leaves, n_loc))
+    rows = np.empty((record.mesh_new.n_leaves,) + fine.shape[1:])
     copies = record.copy_source >= 0
     rows[copies] = np.take(fine, record.copy_source[copies], axis=0)
     if len(record.merges):
         child, node = _parent_nodes_in_children(field.mesh.dim, field.p)
-        rows[~copies] = np.take(fine, record.merges[:, child] * n_loc + node)
+        rows[~copies] = fine[record.merges[:, child], node]
     return LeafField(record.mesh_new, field.p, rows).nodal()
 
 

@@ -273,6 +273,26 @@ class TestAdaptCycle:
         assert all(f.mesh is mesh2 and isinstance(f, NodalField) for f in fields.values())
 
     @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("refine_only", [False, True], ids=["refine-and-merge", "refine-only"])
+    def test_block_crosses_the_cycle_like_its_columns(self, p, refine_only):
+        mesh = build_uniform(2, 3)
+        phi = interpolate_nodal(mesh, p, lambda c: np.tanh((c[:, 0] - 0.5) / 0.05))
+        rng = np.random.default_rng(9)
+        block = rng.standard_normal((len(phi.values), 3))
+        crit = RefineOnly([0, 9]) if refine_only else InterfaceCriterion(-0.9, 0.9, 2, 4)
+        modes = {"phi": TransferMode.CONSERVATIVE}
+        mesh2, fields, stats = adapt_cycle(
+            {"phi": phi, "block": NodalField(mesh, p, block)}, modes, "phi", crit
+        )
+        assert stats.n_refined > 0 and (stats.n_merged == 0) == refine_only
+        columns = {f"c{j}": NodalField(mesh, p, block[:, j].copy()) for j in range(3)}
+        mesh3, singles, _ = adapt_cycle({"phi": phi, **columns}, modes, "phi", crit)
+        assert mesh3.n_leaves == mesh2.n_leaves
+        assert fields["block"].values.shape == (len(fields["phi"].values), 3)
+        for j in range(3):
+            assert fields["block"].values[:, j].tobytes() == singles[f"c{j}"].values.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
     def test_refine_only_scatters_like_transfer_refine(self, p, refine_calls):
         mesh = build_uniform(2, 2)
         refine = np.zeros(mesh.n_leaves, dtype=bool)

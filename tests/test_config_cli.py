@@ -228,6 +228,24 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert [line.split()[3] for line in proc.stdout.splitlines()] == ["mode=injection"]
 
+    def test_spinodal_snapshots_into_a_new_out_directory(self, tmp_path):
+        # the desk configs write snapshots; a fresh checkout has no out/
+        cfg = tmp_path / "sp.cfg"
+        cfg.write_text(
+            "[experiment]\nkind = spinodal\ndegree = 1\nseed = 3\n\n"
+            "[mesh]\nbulk_level = 2\ninterface_level = 3\n\n"
+            "[time]\ndt = 5e-4\nt_final = 0.002\n\n"
+            "[output]\nsnapshot_every = 2\n"
+        )
+        out = tmp_path / "not" / "there"
+        proc = run_cli("spinodal", "--config", str(cfg), "--mode", "conservative", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in out.glob("*.vtk")) == [
+            "snapshot_conservative_000002.vtk",
+            "snapshot_conservative_000004.vtk",
+        ]
+        assert (out / "diagnostics_conservative.csv").exists()
+
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg = tmp_path / "sp.cfg"
         cfg.write_text(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import amrfem.mesh
 import topology_reference as reference
 from amrfem.errors import MeshStateError
 from amrfem.mesh import (
@@ -376,6 +377,16 @@ class TestEnumerateNodes:
         cycle = np.array([[1, 2], [0, 2]])
         with pytest.raises(MeshStateError, match="hanging node 0 has master node 1"):
             _constraint_matrix(3, hanging, cycle, np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_weights_off_the_partition_of_unity_raise(self, p, monkeypatch):
+        table = child_lattice_values(p).copy()
+        table[1] *= 1.0 + 2.0**-40  # row 1: offset 1, which every hanging node edge has
+        monkeypatch.setattr(amrfem.mesh, "child_lattice_values", lambda q: table)
+        mesh = build_uniform(2, 2)
+        mesh, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
+        with pytest.raises(MeshStateError, match=r"constraint row of node \d+ sums to .*, not 1"):
+            enumerate_nodes(mesh, p)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_hanging_rows_are_child_lattice_rows(self, p):

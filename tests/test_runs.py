@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from amrfem import runs
+from amrfem import adapt, runs
+from amrfem.errors import SolverError
 from amrfem.config import ExperimentConfig
 from amrfem.fem import interpolate_nodal
 from amrfem.models import energy
@@ -98,6 +99,34 @@ class TestSpinodalSmall:
         assert summary["completed"] == "true"
         snapshots = [p for p in os.listdir(tmp_path) if p.endswith(".vtk")]
         assert len(snapshots) == 2  # steps 10 and 20
+
+    @pytest.mark.parametrize("where", ["coarsening", "snapshot"])
+    def test_failure_keeps_the_rows_so_far(self, where, monkeypatch, tmp_path):
+        # a PCG breakdown in the first conservative coarsening, or a failed
+        # snapshot write, ends the run but keeps the diagnostics up to it
+        cfg = ExperimentConfig(
+            kind="spinodal", degree=1, bulk_level=2, interface_level=4, band_lo=-0.05,
+            band_hi=0.05, dt=5e-4, t_final=0.006, seed=1, mass_tol=1e-13, snapshot_every=3,
+        )  # the narrow band merges first at step 10
+        full = run_spinodal(cfg, "conservative")
+        assert full.completed and full.delta_e_events
+
+        def broken(*args, **kwargs):
+            raise (SolverError("injected") if where == "coarsening" else OSError("injected"))
+
+        steps, real_step = [], runs.ch_step
+        monkeypatch.setattr(runs, "ch_step", lambda *a: steps.append(1) or real_step(*a))
+        target = (adapt, "transfer_coarsen_conservative") if where == "coarsening" else (runs, "write_vtk")
+        monkeypatch.setattr(*target, broken)
+        res = run_spinodal(cfg, "conservative", out_dir=str(tmp_path))
+        kind = "SolverError" if where == "coarsening" else "OSError"
+        assert not res.completed and res.failure.startswith(f"{kind} at t=")
+        # the failing step has a row only when its snapshot failed (step 3)
+        rows = len(res.diagnostics.times)
+        assert rows == len(steps) + (where == "snapshot") and 1 < rows < len(full.diagnostics.times)
+        assert res.diagnostics.energies == full.diagnostics.energies[:rows]
+        summary = emit_outputs(res, cfg, str(tmp_path), "conservative")
+        assert summary["completed"] == "false"
 
     def test_energy_evaluated_once_per_field(self, monkeypatch):
         # a coarsening step evaluates the energy before and after the

@@ -174,6 +174,34 @@ class TestLeafLocalTransfer:
             assert np.abs(inj.values - want_inj.values).max() <= 1e-13
             assert np.abs(cons.values - want_cons.values).max() <= 1e-13
 
+    @pytest.mark.parametrize("n_refined", [1, 3])
+    def test_block_moves_like_its_columns(self, dim, p, n_refined):
+        # a (n_dofs, k) block through refinement, the scatter and injection
+        # gives each column's single-field transfer, bit for bit; one refined
+        # leaf makes one-row child groups, where a (k, n_loc) product would
+        # take another BLAS kernel than k (1, n_loc) products
+        rng = np.random.default_rng(500 + 10 * dim + p)
+        for _ in range(5):
+            mesh = adapted_mesh(dim, rng)
+            assert dim == 1 or enumerate_nodes(mesh, p).hanging
+            block = NodalField(mesh, p, rng.standard_normal((enumerate_nodes(mesh, p).n_dofs, 3)))
+            refined, rrec = refine(mesh, rng.choice(mesh.n_leaves, size=n_refined, replace=False))
+            _, crec = coarsen(refined, np.flatnonzero(refined.levels >= mesh.levels.max()))
+            _, direct = coarsen(mesh, np.flatnonzero(mesh.levels == mesh.levels.max()))
+            assert len(crec.merges) and len(direct.merges)
+
+            def moves(f):
+                leaf = refine_leaf_field(f, rrec)
+                return [leaf, leaf.nodal(), transfer_coarsen_injection(leaf, crec),
+                        transfer_coarsen_injection(f, direct)]
+
+            got = moves(block)
+            for j in range(3):
+                want = moves(NodalField(mesh, p, block.values[:, j].copy()))
+                for g, w in zip(got, want):
+                    assert g.mesh is w.mesh
+                    assert g.values[..., j].tobytes() == w.values.tobytes()
+
     def test_coarsening_nothing_copies_the_field(self, dim, p):
         rng = np.random.default_rng(400 + 10 * dim + p)
         mesh = adapted_mesh(dim, rng)
