@@ -181,11 +181,10 @@ def adapt_cycle(
     refine = criterion.refine(fields[conserved])
     if refine.any():
         new_mesh, record = execute_refine(mesh, refine)
-        if new_mesh is not mesh:
-            _release_operators(mesh)
-            stats.n_refined = new_mesh.n_leaves - mesh.n_leaves
-            fields = {k: refine_leaf_field(f, record) for k, f in fields.items()}
-            mesh = new_mesh
+        _release_operators(mesh)
+        stats.n_refined = new_mesh.n_leaves - mesh.n_leaves
+        fields = {k: refine_leaf_field(f, record) for k, f in fields.items()}
+        mesh = new_mesh
 
     coarsen = criterion.coarsen(fields[conserved])
     if coarsen.any():

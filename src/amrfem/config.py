@@ -125,14 +125,14 @@ _FIELD_TYPES = {f.name: f.type for f in dc_fields(ExperimentConfig)}
 
 def _convert(name: str, raw: str):
     kind = _FIELD_TYPES[name]
-    if kind == "bool" or kind is bool:
+    if kind == "bool":
         try:
             return _BOOL[raw.strip().lower()]
         except KeyError:
             raise ValueError(f"invalid boolean for {name}: {raw!r}") from None
-    if kind == "int" or kind is int:
+    if kind == "int":
         return int(raw)
-    if kind == "float" or kind is float:
+    if kind == "float":
         return float(raw)
     return raw.strip()
 

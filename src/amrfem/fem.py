@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .errors import SolverError
 from .mesh import MAX_LEVEL, MeshTopology, NodeNumbering, enumerate_nodes
-from .quadrature import element_nodal_basis, gauss_legendre, tensor_weights
+from .quadrature import element_nodal_basis, gauss_legendre, lattice, tensor_kron, tensor_weights
 
 __all__ = [
     "NodalField",
@@ -136,18 +136,18 @@ def _tables(dim: int, p: int, n_q: int):
     """Reference-element tensor tables for (dim, p, n_q).
 
     B[a, q] are basis values at the Gauss lattice, G[d][a, q] the reference
-    derivatives along axis d, w the tensor weights. Local nodes and Gauss
-    points are both ordered lexicographically (x fastest).
+    derivatives along axis d, w the tensor weights. Each is the
+    ``tensor_kron`` of 1D tables, the derivative table on axis d, so local
+    nodes and Gauss points are both in ``lattice`` order (x fastest).
     """
     rule = gauss_legendre(n_q)
     basis = element_nodal_basis(p)
     vals = basis.values_at(rule.points)
     ders = basis.derivs_at(rule.points)
-    if dim == 1:
-        b, grads = vals, (ders,)
-    else:
-        b = np.kron(vals, vals)
-        grads = (np.kron(vals, ders), np.kron(ders, vals))  # d/dx, d/dy
+    b = tensor_kron([vals] * dim)
+    grads = tuple(
+        tensor_kron([ders if axis == d else vals for axis in range(dim)]) for d in range(dim)
+    )
     w = tensor_weights(rule, dim)
     mass_ref = (b * w[None, :]) @ b.T
     stiff_ref = sum((g * w[None, :]) @ g.T for g in grads)
@@ -254,13 +254,7 @@ def _square_sum(g: np.ndarray) -> np.ndarray:
 
 def gauss_point_coords(mesh: MeshTopology, n_q: int) -> np.ndarray:
     """Physical Gauss-lattice coordinates, shape (n_leaves, n_q^dim, dim)."""
-    rule = gauss_legendre(n_q)
-    dim = mesh.dim
-    if dim == 1:
-        ref = rule.points[:, None]
-    else:
-        # lexicographic lattice: x fastest
-        ref = np.column_stack([np.tile(rule.points, n_q), np.repeat(rule.points, n_q)])
+    ref = gauss_legendre(n_q).points[lattice(n_q, mesh.dim)]
     h = mesh.leaf_sizes_physical
     lo = np.ldexp(mesh.anchors.astype(float), -MAX_LEVEL)
     centers = lo + 0.5 * h[:, None]

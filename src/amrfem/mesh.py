@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshStateError
-from .quadrature import child_lattice_values
+from .quadrature import child_lattice_values, lattice
 
 __all__ = [
     "MAX_LEVEL",
@@ -221,25 +221,14 @@ class CoarsenRecord:
 
 def build_uniform(dim: int, level: int) -> MeshTopology:
     """Uniform mesh of 2^(dim*level) leaves tiling the unit domain."""
+    if dim not in (1, 2):
+        raise ValueError(f"mesh dim must be 1 or 2, got {dim}")
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
-    n = 1 << level
-    h = 1 << (MAX_LEVEL - level)
-    if dim == 1:
-        anchors = (np.arange(n, dtype=np.int64) * h)[:, None]
-    else:
-        ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        anchors = np.column_stack([ix.ravel(), iy.ravel()]).astype(np.int64) * h
+    anchors = lattice(1 << level, dim) << (MAX_LEVEL - level)
     levels = np.full(len(anchors), level, dtype=np.int32)
     order = np.argsort(_morton_keys(anchors, dim), kind="stable")
     return MeshTopology(dim, levels[order], anchors[order])
-
-
-def _child_offsets(dim: int, half: int) -> np.ndarray:
-    """Anchor offsets of the 2^dim children in Morton order."""
-    if dim == 1:
-        return np.array([[0], [half]], dtype=np.int64)
-    return np.array([[0, 0], [half, 0], [0, half], [half, half]], dtype=np.int64)
 
 
 def _leaf_mask(mesh: MeshTopology, mask: np.ndarray) -> np.ndarray:
@@ -297,7 +286,7 @@ def execute_refine(mesh: MeshTopology, refine: np.ndarray) -> tuple[MeshTopology
     split = refine[src]
     cid = np.where(split, rank, -1)
     half = mesh.leaf_sizes[src] >> 1
-    offsets = _child_offsets(mesh.dim, 1)[rank] * half[:, None]
+    offsets = lattice(2, mesh.dim)[rank] * half[:, None]
     new_anchors = np.take(mesh.anchors, src, axis=0) + offsets
     new_mesh = MeshTopology(mesh.dim, levels[src] + split, new_anchors)
     _inherit_face_neighbours(mesh, new_mesh, src, split)
@@ -342,7 +331,7 @@ def sibling_families(mesh: MeshTopology, eligible: np.ndarray) -> np.ndarray:
     levels, anchors = mesh.levels, mesh.anchors
     h = mesh.leaf_sizes[:n]
     first = (levels[:n] > 0) & (_or_columns(anchors[:n]) & (2 * h - 1) == 0)
-    for c, offset in enumerate(_child_offsets(mesh.dim, 1)):
+    for c, offset in enumerate(lattice(2, mesh.dim)):
         first &= eligible[c : c + n] & (levels[c : c + n] == levels[:n])
         first &= _or_columns(anchors[c : c + n] - anchors[:n] - offset * h[:, None]) == 0
     return np.flatnonzero(first)
@@ -510,13 +499,12 @@ class NodeNumbering:
         node, padded with ones, then the number of bisections below that
         box, so a box sorts after every box inside it.
         """
-        keys = self.node_keys[self.dof_of_node >= 0]
         dim = self.node_coords.shape[1]
+        coords = _key_axes(self.node_keys[self.dof_of_node >= 0], dim).T
         extent = 2 * _DOMAIN  # node lattice points run over [0, extent]
         bits = MAX_LEVEL + 1  # one bisection per bit of a coordinate
-        coords = [keys] if dim == 1 else [keys >> _KEY_SHIFT, keys & np.int64((1 << 32) - 1)]
         # c = odd * 2^t lies on an axis midline at depth dim * (bits - 1 - t) + axis.
-        depth = np.full(len(keys), dim * bits)
+        depth = np.full(coords.shape[1], dim * bits)
         for axis, c in enumerate(coords):
             t = np.frexp((c & -c).astype(float))[1] - 1
             inside = (c > 0) & (c < extent)
@@ -548,17 +536,25 @@ class NodeNumbering:
         return self.node_coords[self.dof_of_node >= 0]
 
 
-_KEY_SHIFT = np.int64(32)
+def _key_shifts(dim: int) -> np.ndarray:
+    """Bit offset of each axis in a node key: 32 bits per axis, x most significant."""
+    return 32 * np.arange(dim - 1, -1, -1, dtype=np.int64)
 
 
-def _encode_keys(kx: np.ndarray, ky: np.ndarray | None) -> np.ndarray:
-    if ky is None:
-        return kx.astype(np.int64)
-    return (kx.astype(np.int64) << _KEY_SHIFT) | ky.astype(np.int64)
+def _key_axes(keys: np.ndarray, dim: int) -> np.ndarray:
+    """Node-lattice coordinates (n, dim) of node keys."""
+    mask = np.int64((1 << 32) - 1)
+    return np.column_stack([(keys >> shift) & mask for shift in _key_shifts(dim)])
 
 
 def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
-    """Build (and cache) the degree-p node numbering with hanging constraints."""
+    """Build (and cache) the degree-p node numbering with hanging constraints.
+
+    A leaf's local nodes are its ``lattice(p + 1, dim)`` points, 2h/p apart,
+    on the node lattice of twice the anchor resolution (Q2 midpoints stay
+    integral). A node's key packs its coordinates, 32 bits per axis with x
+    most significant, and the numbering follows the sorted keys.
+    """
     if p not in (1, 2):
         raise ValueError(f"supported degrees are 1 and 2, got {p}")
     cached = mesh._numberings.get(p)
@@ -568,32 +564,14 @@ def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
         raise MeshStateError(f"node enumeration requires a 2:1 balanced tiling: {mesh.defect}")
 
     dim = mesh.dim
-    n_loc = (p + 1) ** dim
-    sizes = mesh.leaf_sizes
-    # Node lattice at twice the anchor resolution keeps Q2 midpoints integral.
-    steps = (2 * sizes) // p  # distance between nodes along one axis
-    idx_1d = np.arange(p + 1, dtype=np.int64)
-    if dim == 1:
-        kx = 2 * mesh.anchors[:, 0:1] + idx_1d[None, :] * steps[:, None]
-        keys = _encode_keys(kx, None).reshape(-1)
-    else:
-        ix = np.tile(idx_1d, p + 1)  # lexicographic: x fastest
-        iy = np.repeat(idx_1d, p + 1)
-        kx = 2 * mesh.anchors[:, 0:1] + ix[None, :] * steps[:, None]
-        ky = 2 * mesh.anchors[:, 1:2] + iy[None, :] * steps[:, None]
-        keys = _encode_keys(kx, ky).reshape(-1)
+    steps = (2 * mesh.leaf_sizes[:, None]) // p  # distance between nodes along one axis
+    # One axis at a time: numpy is slow along a short last axis.
+    axes = zip(mesh.anchors.T, lattice(p + 1, dim).T, _key_shifts(dim))
+    keys = reduce(or_, [(2 * anchor[:, None] + i * steps) << shift for anchor, i, shift in axes])
 
     node_keys, inverse = np.unique(keys, return_inverse=True)
-    elem_nodes = inverse.reshape(mesh.n_leaves, n_loc).astype(np.int64)
-    if dim == 1:
-        coords = (node_keys.astype(float) / (2.0 * _DOMAIN))[:, None]
-    else:
-        coords = np.column_stack(
-            [
-                (node_keys >> _KEY_SHIFT).astype(float) / (2.0 * _DOMAIN),
-                (node_keys & np.int64((1 << 32) - 1)).astype(float) / (2.0 * _DOMAIN),
-            ]
-        )
+    elem_nodes = inverse.reshape(keys.shape).astype(np.int64)
+    coords = _key_axes(node_keys, dim).astype(float) / (2.0 * _DOMAIN)
 
     dof_of_node, tmat = _constraint_matrix(
         len(node_keys), *_hanging_constraints(mesh, p, elem_nodes)
@@ -631,8 +609,8 @@ def _hanging_constraints(mesh: MeshTopology, p: int, elem_nodes: np.ndarray):
     upper = mesh.anchors[fine, 1 - axis] > mesh.anchors[j, 1 - axis]
     t = (upper * p + 1) % 2  # position along the fine face that makes the offset odd
     offset = upper * p + t
-    # elem_nodes runs x fastest: node (ix, iy) is column ix + (p + 1) * iy.
-    normal, tangent = np.array([1, p + 1])[axis], np.array([p + 1, 1])[axis]
+    # elem_nodes runs in lattice order: node (ix, iy) is column ix + (p + 1) * iy.
+    normal, tangent = (p + 1) ** axis, (p + 1) ** (1 - axis)
     hanging = elem_nodes[fine, side * p * normal + t * tangent]
     along = np.arange(p + 1) * tangent[:, None]
     masters = elem_nodes[j[:, None], ((1 - side) * p * normal)[:, None] + along]

@@ -456,9 +456,8 @@ def chemical_potential_init(phi: NodalField, problem: CahnHilliardProblem) -> No
 def energy(phi: NodalField, problem) -> float:
     """Ginzburg-Landau energy: integral of f(phi) + eps2/2 |grad phi|^2."""
     fe = problem.free_energy
-    n_q = getattr(problem, "n_q", None) or (phi.p + 1)
-    gf = eval_at_gauss(phi, n_q)
-    grads = eval_grad_at_gauss(phi, n_q)
+    gf = eval_at_gauss(phi, problem.n_q)
+    grads = eval_grad_at_gauss(phi, problem.n_q)
     density = fe.f(gf.values) + 0.5 * problem.eps2 * _square_sum(grads)
     return integrate_gauss(replace(gf, values=density))
 

@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules and 1D Lagrange bases on the reference interval [-1, 1].
+"""Gauss-Legendre rules, 1D Lagrange bases on [-1, 1], and the tensor-lattice order.
 
 Two basis families are provided: the usual element-nodal family (equispaced
 nodes, endpoints included) and the quadrature-point-nodal family whose nodes
@@ -6,11 +6,17 @@ sit at the Gauss points, which is what makes local mass matrices diagonal.
 ``child_lattice_values`` tabulates the element-nodal basis on its
 children's node lattice, the one table that refinement and the hanging-node
 constraints read.
+
+Every tensor-product table in the package is ordered lexicographically, x
+fastest: local nodes, Gauss points, Morton children and the leaves of a
+uniform mesh. ``lattice`` lists that order's multi-indices and
+``tensor_kron`` builds a table in it from one factor per axis, in any
+dimension.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -21,6 +27,8 @@ __all__ = [
     "element_nodal_basis",
     "quad_point_basis",
     "child_lattice_values",
+    "lattice",
+    "tensor_kron",
     "tensor_weights",
 ]
 
@@ -175,10 +183,19 @@ def child_lattice_values(p: int) -> np.ndarray:
     return table
 
 
+def lattice(n: int, dim: int) -> np.ndarray:
+    """Multi-indices of the n^dim tensor lattice, x fastest: int64 (n^dim, dim).
+
+    Row i + n * j of ``lattice(n, 2)`` is (i, j).
+    """
+    return np.indices((n,) * dim, dtype=np.int64).reshape(dim, -1)[::-1].T
+
+
+def tensor_kron(per_axis) -> np.ndarray:
+    """Kronecker product of one table per axis (x first), rows and columns x fastest."""
+    return reduce(np.kron, per_axis[::-1])
+
+
 def tensor_weights(rule: QuadratureRule1D, dim: int) -> np.ndarray:
-    """Lexicographically ordered tensor-product weights (length n^dim)."""
-    w = rule.weights
-    out = w
-    for _ in range(dim - 1):
-        out = np.kron(w, out)  # slower axis appended on the left
-    return out
+    """Tensor-product weights on the Gauss lattice (length n^dim)."""
+    return tensor_kron([rule.weights] * dim)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import MeshStateError
 from .fem import GaussField, LeafField, NodalField, eval_at_gauss, project_l2
 from .mesh import CoarsenRecord, RefineRecord
-from .quadrature import child_lattice_values
+from .quadrature import child_lattice_values, lattice, tensor_kron
 from .restriction import apply_restriction, restriction_matrix
 
 __all__ = [
@@ -42,17 +42,13 @@ class TransferMode(Enum):
 def _child_interp(dim: int, p: int, child: int) -> np.ndarray:
     """Parent basis evaluated at one child's node lattice: (n_loc, n_loc).
 
-    The Kronecker product, over the axes, of the rows of
-    ``child_lattice_values`` that hold the child's nodes.
+    The ``tensor_kron``, over the axes, of the rows of
+    ``child_lattice_values`` that hold the child's nodes; Morton child
+    ``child`` sits at ``lattice(2, dim)[child]``, so its bit on each axis
+    picks rows ``bit * p ... bit * p + p``.
     """
     table = child_lattice_values(p)
-
-    def one_dim(bit: int) -> np.ndarray:
-        return table[bit * p : bit * p + p + 1]  # (child nodes, parent)
-
-    if dim == 1:
-        return one_dim(child & 1)
-    return np.kron(one_dim((child & 2) >> 1), one_dim(child & 1))
+    return tensor_kron([table[bit * p : bit * p + p + 1] for bit in lattice(2, dim)[child]])
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,9 @@ the hanging-node constraints with their chain folding.
 ``tests/test_mesh.py`` requires the library to reproduce their results
 exactly. They are slow (a dict lookup per leaf, per direction, per level
 walked) and only meant for small meshes. ``locate`` is a test helper that
-finds the leaf under a physical point.
+finds the leaf under a physical point. ``_child_offsets`` and
+``_encode_keys`` are the library's former child-offset table and two-axis
+node-key encoder, which these loops still use.
 
 ``searched_constraints`` is fast enough for benchmark-size meshes: the
 vectorised hanging-node rule that encodes the lattice keys of each hanging
@@ -21,10 +23,26 @@ import numpy as np
 import scipy.sparse as sp
 
 from amrfem.errors import MeshStateError
-from amrfem.mesh import MAX_LEVEL, MeshTopology, _child_offsets, _encode_keys, _faces
+from amrfem.mesh import MAX_LEVEL, MeshTopology, _faces
 from amrfem.quadrature import child_lattice_values, element_nodal_basis
 
 _DOMAIN = 1 << MAX_LEVEL
+
+
+def _child_offsets(dim: int, half: int) -> np.ndarray:
+    """Anchor offsets of the 2^dim children in Morton order."""
+    if dim == 1:
+        return np.array([[0], [half]], dtype=np.int64)
+    return np.array([[0, 0], [half, 0], [0, half], [half, half]], dtype=np.int64)
+
+
+_KEY_SHIFT = np.int64(32)
+
+
+def _encode_keys(kx: np.ndarray, ky: np.ndarray | None) -> np.ndarray:
+    if ky is None:
+        return kx.astype(np.int64)
+    return (kx.astype(np.int64) << _KEY_SHIFT) | ky.astype(np.int64)
 
 
 def leaf_lookup(mesh: MeshTopology) -> dict:
