@@ -4,7 +4,8 @@ Subcommands mirror the experiments: ``demo1d``, ``mms``, ``spinodal``, and
 ``restriction dump``. Imports are deferred per subcommand so the quick
 matrix dump does not pay for the solver stack, and SuperLU loads only with
 the first Cahn-Hilliard factorisation, so ``mms`` and ``demo1d`` never load
-it. Exit code 0 means every internal sanity assertion passed.
+it. Exit code 0 means every internal sanity assertion passed; 2 means bad
+arguments, a ``--config`` whose ``kind`` is not the subcommand among them.
 """
 from __future__ import annotations
 
@@ -50,14 +51,12 @@ def _cmd_restriction_dump(args) -> int:
     return 0
 
 
-def _cmd_demo1d(args) -> int:
-    from .config import parse_config
+def _cmd_demo1d(args, cfg) -> int:
     from .runs import emit_outputs, run_demo1d
 
     degree = 1 if args.basis == "linear" else 2
     out_dir = args.out
-    if args.config:
-        cfg = parse_config(args.config)
+    if cfg is not None:
         degree = cfg.degree
         out_dir = out_dir or cfg.directory
     report = run_demo1d(degree)
@@ -74,50 +73,41 @@ def _cmd_demo1d(args) -> int:
     return 0
 
 
-def _modes(cfg, args) -> tuple[str, ...]:
-    """Transfer modes to run: ``--mode``, else the config's, "both" as two runs."""
-    if args.mode:
-        return (args.mode,)
-    return ("conservative", "injection") if cfg.mode == "both" else (cfg.mode,)
+def _run_modes(args, cfg, run, report) -> int:
+    """Run the experiment once per transfer mode and write its outputs.
 
+    ``--mode``, else the config's mode, "both" as conservative then
+    injection. ``run(mode, out_dir)`` returns a run's result, and
+    ``report(cfg, mode, result)`` prints it and says whether it passed.
+    """
+    from .runs import emit_outputs
 
-def _cmd_mms(args) -> int:
-    from .config import parse_config
-    from .runs import emit_outputs, run_mms
-
-    cfg = parse_config(args.config)
     out_dir = args.out or cfg.directory
+    modes = ("conservative", "injection") if cfg.mode == "both" else (cfg.mode,)
     ok = True
-    for mode in _modes(cfg, args):
-        result = run_mms(cfg, mode)
+    for mode in (args.mode,) if args.mode else modes:
+        result = run(mode, out_dir)
         emit_outputs(result, cfg, out_dir, mode)
-        print(
-            f"mms level={cfg.level} p={cfg.degree} mode={mode} "
-            f"l2_error={result.l2_error:.6e} drift={result.mass_drift_final:.3e}"
-        )
-        if not (result.l2_error < 1.0):
-            ok = False
+        ok = report(cfg, mode, result) and ok
     return 0 if ok else 1
 
 
-def _cmd_spinodal(args) -> int:
-    from .config import parse_config
-    from .runs import emit_outputs, run_spinodal
+def _report_mms(cfg, mode, result) -> bool:
+    print(
+        f"mms level={cfg.level} p={cfg.degree} mode={mode} "
+        f"l2_error={result.l2_error:.6e} drift={result.mass_drift_final:.3e}"
+    )
+    return result.l2_error < 1.0
 
-    cfg = parse_config(args.config)
-    out_dir = args.out or cfg.directory
-    ok = True
-    for mode in _modes(cfg, args):
-        result = run_spinodal(cfg, mode, out_dir=out_dir)
-        emit_outputs(result, cfg, out_dir, mode)
-        print(
-            f"spinodal mode={mode} max|dm|={result.max_abs_drift:.3e} "
-            f"events={len(result.delta_e_events)} completed={result.completed}"
-        )
-        if not result.completed:
-            print(f"FAIL: {result.failure}", file=sys.stderr)
-            ok = False
-    return 0 if ok else 1
+
+def _report_spinodal(cfg, mode, result) -> bool:
+    print(
+        f"spinodal mode={mode} max|dm|={result.max_abs_drift:.3e} "
+        f"events={len(result.delta_e_events)} completed={result.completed}"
+    )
+    if not result.completed:
+        print(f"FAIL: {result.failure}", file=sys.stderr)
+    return result.completed
 
 
 def main(argv=None) -> int:
@@ -127,13 +117,22 @@ def main(argv=None) -> int:
         if args.nq is not None and args.nq < args.p + 1:
             parser.error(f"--nq must be at least p+1={args.p + 1}, got {args.nq}")
         return _cmd_restriction_dump(args)
+    cfg = None
+    if args.config:
+        from .config import parse_config
+
+        cfg = parse_config(args.config)
+        if cfg.kind != args.command:
+            parser.error(f"--config {args.config} describes a {cfg.kind} run, not {args.command}")
     if args.command == "demo1d":
-        return _cmd_demo1d(args)
+        return _cmd_demo1d(args, cfg)
+    from . import runs
+
     if args.command == "mms":
-        return _cmd_mms(args)
-    if args.command == "spinodal":
-        return _cmd_spinodal(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+        return _run_modes(args, cfg, lambda mode, _: runs.run_mms(cfg, mode), _report_mms)
+    return _run_modes(
+        args, cfg, lambda mode, out_dir: runs.run_spinodal(cfg, mode, out_dir), _report_spinodal
+    )
 
 
 if __name__ == "__main__":

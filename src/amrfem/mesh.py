@@ -403,7 +403,9 @@ class NodeNumbering:
     (so Q2 edge midpoints are integers), encoded into a single sorted int64
     per node. Hanging nodes carry no degree of freedom; their values are
     weighted sums of independent master nodes. ``constraint_matrix`` maps
-    independent dof values to values at all geometric nodes.
+    independent dof values to values at all geometric nodes; it and
+    ``dof_of_node`` are the one record of the hanging nodes, and ``hanging``
+    and ``n_dofs`` are read off them.
 
     The operator caches are ``cache`` (assembled mass and stiffness, the
     diffusion step's operators and the Cahn-Hilliard LU factor, keyed by
@@ -411,8 +413,7 @@ class NodeNumbering:
     ``summation_map``, ``constraint_transpose`` and ``dissection_order``.
     All are rebuilt on first use, so ``release_operators`` may free them at
     any time; the keys, coordinates, ``elem_nodes``, ``dof_of_node`` and T,
-    which transfers read, are never released. ``hanging`` is a lazily built
-    view of T for diagnostics; no solver or transfer reads it.
+    which transfers read, are never released.
     """
 
     p: int
@@ -420,7 +421,6 @@ class NodeNumbering:
     node_coords: np.ndarray
     elem_nodes: np.ndarray
     dof_of_node: np.ndarray
-    n_dofs: int
     constraint_matrix: sp.csr_matrix
     cache: dict = field(default_factory=dict)
 
@@ -428,16 +428,14 @@ class NodeNumbering:
     def n_nodes(self) -> int:
         return len(self.node_keys)
 
-    @cached_property
-    def hanging(self) -> dict[int, tuple[tuple[int, ...], tuple[float, ...]]]:
-        """Hanging node -> (master nodes, weights), read off the constraint matrix."""
-        t = self.constraint_matrix
-        masters = np.flatnonzero(self.dof_of_node >= 0)[t.indices].tolist()
-        weights, ptr = t.data.tolist(), t.indptr.tolist()
-        return {
-            n: (tuple(masters[ptr[n] : ptr[n + 1]]), tuple(weights[ptr[n] : ptr[n + 1]]))
-            for n in np.flatnonzero(self.dof_of_node < 0).tolist()
-        }
+    @property
+    def n_dofs(self) -> int:
+        return self.constraint_matrix.shape[1]
+
+    @property
+    def hanging(self) -> np.ndarray:
+        """Hanging nodes, ascending; T's row of each holds its masters' dofs and weights."""
+        return np.flatnonzero(self.dof_of_node < 0)
 
     @cached_property
     def constraint_transpose(self) -> sp.csr_matrix:
@@ -582,7 +580,6 @@ def enumerate_nodes(mesh: MeshTopology, p: int) -> NodeNumbering:
         node_coords=coords,
         elem_nodes=elem_nodes,
         dof_of_node=dof_of_node,
-        n_dofs=tmat.shape[1],
         constraint_matrix=tmat,
     )
     mesh._numberings[p] = numbering

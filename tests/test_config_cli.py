@@ -228,6 +228,22 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert [line.split()[3] for line in proc.stdout.splitlines()] == ["mode=injection"]
 
+    @pytest.mark.parametrize(
+        "command, kind", [("demo1d", "mms"), ("mms", "spinodal"), ("spinodal", "demo1d")]
+    )
+    def test_config_of_another_kind_is_refused(self, tmp_path, command, kind):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(
+            f"[experiment]\nkind = {kind}\ndegree = 1\n\n"
+            "[mesh]\nlevel = 3\nbulk_level = 2\ninterface_level = 3\n\n"
+            "[time]\ndt = 5e-4\nt_final = 0.001\n"
+        )
+        out = tmp_path / "out"
+        proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"describes a {kind} run, not {command}" in proc.stderr
+        assert proc.stdout == "" and not out.exists()
+
     def test_spinodal_snapshots_into_a_new_out_directory(self, tmp_path):
         # the desk configs write snapshots; a fresh checkout has no out/
         cfg = tmp_path / "sp.cfg"

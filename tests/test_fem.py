@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -301,6 +305,32 @@ def test_square_sums_match_the_axis_reduction(dim, p):
     assert models.energy(phi, problem) == integrate_gauss(replace(gf, values=density))
     w, jac = _element_rule(mesh, p, p + 1)
     assert np.array_equal(element_gradient_norms(phi), np.sqrt(np.maximum((sq @ w) * jac, 0.0)))
+
+
+def test_integrals_are_independent_of_blas_threads():
+    # OpenBLAS splits dot products above about 10,000 entries across
+    # threads; the mass and energy columns sum over 16,384 leaves
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from amrfem import models
+        from amrfem.fem import NodalField, eval_at_gauss, integrate_gauss
+        from amrfem.mesh import build_uniform, enumerate_nodes
+        mesh = build_uniform(2, 7)
+        values = np.random.default_rng(7).uniform(-1.0, 1.0, enumerate_nodes(mesh, 1).n_dofs)
+        phi = NodalField(mesh, 1, values)
+        print(integrate_gauss(eval_at_gauss(phi)).hex())
+        print(models.energy(phi, models.CahnHilliardProblem()).hex())
+        """
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 2
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("energy", ["polynomial", "flory_huggins"])

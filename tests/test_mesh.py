@@ -278,14 +278,14 @@ class TestExecuteCoarsen:
 
 class TestEnumerateNodes:
     def test_conforming_mesh_has_no_constraints(self):
-        assert not enumerate_nodes(build_uniform(2, 2), 1).hanging
+        assert enumerate_nodes(build_uniform(2, 2), 1).hanging.size == 0
 
     def test_single_fine_patch_q1_hanging_half_weights(self):
         mesh = build_uniform(2, 2)
         mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0]))
         nn = enumerate_nodes(mesh2, 1)
         assert len(nn.hanging) == 2  # one per coarse/fine edge
-        for masters, weights in nn.hanging.values():
+        for masters, weights in zip(*_constraint_rows(nn)):
             assert len(masters) == 2
             assert weights == pytest.approx((0.5, 0.5))
 
@@ -297,7 +297,7 @@ class TestEnumerateNodes:
         # xi = -1/2 carries the quadratic interpolation weights
         expected = sorted([-0.125, 0.375, 0.75])
         found = False
-        for _, weights in nn.hanging.values():
+        for weights in _constraint_rows(nn)[1]:
             if sorted(weights) == pytest.approx(expected):
                 found = True
         assert found
@@ -314,7 +314,7 @@ class TestEnumerateNodes:
         mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0, 5, 12]))
         for p in (1, 2):
             nn = enumerate_nodes(mesh2, p)
-            for masters, weights in nn.hanging.values():
+            for weights in _constraint_rows(nn)[1]:
                 assert sum(weights) == pytest.approx(1.0, abs=1e-13)
 
     def test_masters_are_independent(self):
@@ -322,9 +322,8 @@ class TestEnumerateNodes:
         mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0, 1, 2, 3]))
         for p in (1, 2):
             nn = enumerate_nodes(mesh2, p)
-            for masters, _ in nn.hanging.values():
-                for m in masters:
-                    assert m not in nn.hanging
+            masters, _ = _constraint_rows(nn)
+            assert not np.isin(masters, nn.hanging).any()
 
     def test_elem_nodes_reference_resolvable_dofs(self):
         mesh = build_uniform(2, 2)
@@ -399,7 +398,7 @@ class TestEnumerateNodes:
         t, coords = nn.constraint_matrix, nn.node_coords
         table = child_lattice_values(p)
         assert len(nn.hanging) > 4
-        for node, (masters, _) in nn.hanging.items():
+        for node, masters in zip(nn.hanging, _constraint_rows(nn)[0]):
             axis = int(np.argmax(np.abs(coords[masters[-1]] - coords[masters[0]])))
             lo, hi = coords[masters[0], axis], coords[masters[-1], axis]
             k = 2 * p * (coords[node, axis] - lo) / (hi - lo)
@@ -411,7 +410,7 @@ class TestEnumerateNodes:
         mesh = build_uniform(1, 4)
         nn = enumerate_nodes(mesh, 2)
         assert nn.n_nodes == 33
-        assert not nn.hanging
+        assert nn.hanging.size == 0
 
 
 class TestDissectionOrder:
@@ -483,12 +482,20 @@ def _assert_numbering_matches(mesh):
     for p in (1, 2):
         nn = enumerate_nodes(mesh, p)
         hanging = reference.hanging_constraints(mesh, p, nn.node_keys)
-        assert nn.hanging == hanging
         t, t_ref = nn.constraint_matrix, reference.constraint_matrix(nn.n_nodes, hanging)
         assert t.shape == t_ref.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(t, attr), getattr(t_ref, attr))
     _assert_constraints_match_search(mesh)
+
+
+def _constraint_rows(nn):
+    """(masters, weights): T's rows at ``nn.hanging`` as (n_hanging, p + 1)
+    arrays of master nodes and weights."""
+    t = nn.constraint_matrix
+    assert np.all(np.diff(t.indptr)[nn.hanging] == nn.p + 1)
+    slots = t.indptr[nn.hanging][:, None] + np.arange(nn.p + 1)
+    return np.flatnonzero(nn.dof_of_node >= 0)[t.indices[slots]], t.data[slots]
 
 
 def _assert_constraints_match_search(mesh):
@@ -643,16 +650,36 @@ def _mms_coarsened_mesh():
     return caught.value.args[0]
 
 
+@pytest.fixture(
+    scope="class",
+    params=[(_amr_cycle_mesh, 900), (_mms_coarsened_mesh, 100)],
+    ids=["amr-cycle-l8", "mms-q1-l7"],
+)
+def benchmark_mesh(request):
+    """(mesh, fewest hanging Q1 nodes it has), built once per class."""
+    build, min_hanging = request.param
+    return build(), min_hanging
+
+
 class TestConstraintsAgainstSearch:
     """At benchmark scale, where the loop oracle is too slow, the constraints
     read off the node rows equal the key-search oracle's."""
 
-    @pytest.mark.parametrize(
-        "build, min_hanging",
-        [(_amr_cycle_mesh, 900), (_mms_coarsened_mesh, 100)],
-        ids=["amr-cycle-l8", "mms-q1-l7"],
-    )
-    def test_benchmark_meshes(self, build, min_hanging):
-        mesh = build()
+    def test_benchmark_meshes(self, benchmark_mesh):
+        mesh, min_hanging = benchmark_mesh
         assert len(enumerate_nodes(mesh, 1).hanging) >= min_hanging
         _assert_constraints_match_search(mesh)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_hanging_indexes_the_constrained_rows_of_t(self, benchmark_mesh, p):
+        mesh, _ = benchmark_mesh
+        nn = enumerate_nodes(mesh, p)
+        hanging = nn.hanging
+        assert hanging.dtype == np.int64 and np.all(np.diff(hanging) > 0)
+        assert len(hanging) == nn.n_nodes - nn.n_dofs == nn.n_nodes - nn.constraint_matrix.shape[1]
+        assert np.all(nn.dof_of_node[hanging] < 0)
+        nodes, masters, weights = reference.searched_constraints(mesh, p, nn.node_keys)
+        assert np.array_equal(hanging, nodes)
+        got_masters, got_weights = _constraint_rows(nn)
+        assert np.array_equal(got_masters, masters)
+        assert got_weights.tobytes() == weights.tobytes()

@@ -147,7 +147,7 @@ class TestLeafLocalTransfer:
         rng = np.random.default_rng(200 + 10 * dim + p)
         for _ in range(5):
             mesh = adapted_mesh(dim, rng)
-            assert dim == 1 or enumerate_nodes(mesh, p).hanging
+            assert dim == 1 or enumerate_nodes(mesh, p).hanging.size
             f = random_field(mesh, p, rng)
             for idx in (np.flatnonzero(mesh.levels == mesh.levels.max()), []):
                 _, rec = coarsen(mesh, idx)
@@ -183,7 +183,7 @@ class TestLeafLocalTransfer:
         rng = np.random.default_rng(500 + 10 * dim + p)
         for _ in range(5):
             mesh = adapted_mesh(dim, rng)
-            assert dim == 1 or enumerate_nodes(mesh, p).hanging
+            assert dim == 1 or enumerate_nodes(mesh, p).hanging.size
             block = NodalField(mesh, p, rng.standard_normal((enumerate_nodes(mesh, p).n_dofs, 3)))
             refined, rrec = refine(mesh, rng.choice(mesh.n_leaves, size=n_refined, replace=False))
             _, crec = coarsen(refined, np.flatnonzero(refined.levels >= mesh.levels.max()))
@@ -381,10 +381,10 @@ class TestL2Optimality:
         mesh = build_uniform(2, 2)
         mesh, _ = refine(mesh, [0, 5, 6])
         mesh, _ = refine(mesh, np.nonzero(mesh.levels == 3)[0][::2])
-        assert enumerate_nodes(mesh, p).hanging
+        assert enumerate_nodes(mesh, p).hanging.size
         coarse_mesh, crec = coarsen(mesh, np.nonzero(mesh.levels == mesh.levels.max())[0])
         assert len(crec.merges)
-        assert enumerate_nodes(coarse_mesh, p).hanging
+        assert enumerate_nodes(coarse_mesh, p).hanging.size
 
         # prolongation P, column by column, through a refine-back record
         back_mesh, rrec = refine(coarse_mesh, np.flatnonzero(crec.copy_source < 0))
