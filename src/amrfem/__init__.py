@@ -15,7 +15,7 @@ _EXPORTS = {
     "errors": "MeshStateError NewtonError SolverError",
     "quadrature": "LagrangeBasis1D QuadratureRule1D element_nodal_basis gauss_legendre "
     "quad_point_basis",
-    "restriction": "apply_restriction restriction_matrix",
+    "restriction": "apply_restriction injection_matrix restriction_matrix",
     "mesh": "MAX_LEVEL CoarsenRecord MeshTopology RefineRecord build_uniform enumerate_nodes "
     "execute_coarsen execute_refine",
     "fem": "GaussField LeafField NodalField SparseSystem assemble_mass assemble_stiffness "

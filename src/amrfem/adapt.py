@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _check_band
+from .config import _check_band, _check_positive, _check_unit
 from .fem import NodalField, _element_rule, _square_sum, eval_at_gauss, eval_grad_at_gauss
 from .mesh import execute_coarsen, execute_refine, sibling_families
 from .transfer import (
@@ -56,10 +56,8 @@ class MmsCriterion:
     fraction: float = 0.10
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must lie in [0, 1]")
+        _check_positive(tau=self.tau)
+        _check_unit(fraction=self.fraction)
 
     def refine(self, field: NodalField) -> np.ndarray:
         return np.zeros(field.mesh.n_leaves, dtype=bool)

@@ -5,7 +5,8 @@ Subcommands mirror the experiments: ``demo1d``, ``mms``, ``spinodal``, and
 matrix dump does not pay for the solver stack, and SuperLU loads only with
 the first Cahn-Hilliard factorisation, so ``mms`` and ``demo1d`` never load
 it. Exit code 0 means every internal sanity assertion passed; 2 means bad
-arguments, a ``--config`` whose ``kind`` is not the subcommand among them.
+arguments, among them a ``--config`` that cannot be read, does not parse or
+validate, or whose ``kind`` is not the subcommand.
 """
 from __future__ import annotations
 
@@ -121,7 +122,10 @@ def main(argv=None) -> int:
     if args.config:
         from .config import parse_config
 
-        cfg = parse_config(args.config)
+        try:
+            cfg = parse_config(args.config)
+        except (ValueError, OSError) as exc:
+            parser.error(f"--config {args.config}: {exc}")
         if cfg.kind != args.command:
             parser.error(f"--config {args.config} describes a {cfg.kind} run, not {args.command}")
     if args.command == "demo1d":

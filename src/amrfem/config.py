@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import os
 from dataclasses import dataclass, fields as dc_fields
 
 __all__ = ["ExperimentConfig", "parse_config", "serialize_config"]
@@ -68,15 +69,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown transfer mode {self.mode!r}")
         if self.free_energy not in ("polynomial", "flory_huggins"):
             raise ValueError(f"unknown free energy {self.free_energy!r}")
+        if self.kind == "mms":
+            _check_positive(tau=self.tau, kappa=self.kappa)
+            _check_unit(fraction=self.fraction, theta=self.theta)
         if self.kind == "spinodal":
             if self.bulk_level >= self.interface_level:
                 raise ValueError("bulk_level must be below interface_level")
             _check_band(self.band_lo, self.band_hi, self.band_closed)
+            _check_positive(eps2=self.eps2, mobility=self.mobility)
         if self.adapt_every < 1:
             raise ValueError("adapt_every must be >= 1")
-        for name in ("dt", "t_final", "mass_tol", "newton_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        _check_positive(
+            dt=self.dt, t_final=self.t_final, mass_tol=self.mass_tol, newton_tol=self.newton_tol
+        )
         if self.quad_points != 0 and self.quad_points < self.degree + 1:
             raise ValueError(
                 f"quad_points must be 0 (for p + 1) or >= degree + 1 = {self.degree + 1}, "
@@ -86,6 +91,20 @@ class ExperimentConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         return self
+
+
+def _check_positive(**values: float) -> None:
+    """Reject any value that is not above 0 (a NaN included)."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _check_unit(**values: float) -> None:
+    """Reject any value outside [0, 1] (a NaN included)."""
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _check_band(lo: float, hi: float, closed: bool) -> None:
@@ -125,27 +144,35 @@ _FIELD_TYPES = {f.name: f.type for f in dc_fields(ExperimentConfig)}
 
 def _convert(name: str, raw: str):
     kind = _FIELD_TYPES[name]
-    if kind == "bool":
-        try:
+    try:
+        if kind == "bool":
             return _BOOL[raw.strip().lower()]
-        except KeyError:
-            raise ValueError(f"invalid boolean for {name}: {raw!r}") from None
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"invalid {kind} for {name}: {raw!r}") from None
     return raw.strip()
 
 
 def parse_config(text_or_path) -> ExperimentConfig:
-    """Parse a config file (path or raw text). Unknown keys are errors."""
+    """Parse a config file (path or raw text). Unknown keys are errors.
+
+    An existing file is read whatever its name; a one-line string without
+    ``=`` is a path too, so a missing file raises ``FileNotFoundError``.
+    Every other defect of the text raises ``ValueError``.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    text = text_or_path
-    if "\n" not in str(text_or_path) and "=" not in str(text_or_path):
-        with open(text_or_path) as fh:
+    text = str(text_or_path)
+    if os.path.isfile(text) or ("\n" not in text and "=" not in text):
+        with open(text) as fh:
             text = fh.read()
-    parser.read_string(str(text))
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from None
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section not in _SECTIONS:

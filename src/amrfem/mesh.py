@@ -622,9 +622,9 @@ def _constraint_matrix(n_nodes: int, hanging, masters, weights):
     T is written straight into CSR: one identity row per independent node,
     and per hanging node its masters (in ascending node order) with their
     weights. A master that hangs itself raises ``MeshStateError``, and so
-    does a hanging row whose weights sum to more than 1e-14 off 1: with the
+    does a hanging row whose weights do not sum to exactly 1: with the
     identity rows, that keeps T·1 = 1, the partition of unity that mass
-    conservation rests on. (The p = 2 weights at offset 3 sum to 1 - 2^-52.)
+    conservation rests on.
     """
     is_hanging = np.zeros(n_nodes, dtype=bool)
     is_hanging[hanging] = True
@@ -640,7 +640,7 @@ def _constraint_matrix(n_nodes: int, hanging, masters, weights):
             "which hangs too: constraint chains need an unbalanced mesh"
         )
     sums = weights.sum(axis=1)
-    broken = np.flatnonzero(np.abs(sums - 1.0) > 1e-14)
+    broken = np.flatnonzero(sums != 1.0)
     if broken.size:
         c = broken[0]
         raise MeshStateError(f"constraint row of node {hanging[c]} sums to {sums[c]!r}, not 1")

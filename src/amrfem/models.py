@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 import scipy.sparse as sp
 
+from .config import _check_positive, _check_unit
 from .errors import NewtonError
 from .fem import (
     NodalField,
@@ -76,10 +77,8 @@ class DiffusionProblem:
     n_q: int | None = None  # None: p + 1 Gauss points per dimension
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
+        _check_positive(kappa=self.kappa)
+        _check_unit(theta=self.theta)
 
 
 def mms_exact(x, y, t, problem: DiffusionProblem):
@@ -202,10 +201,7 @@ class CahnHilliardProblem:
     n_q: int | None = None
 
     def __post_init__(self):
-        if self.eps2 <= 0:
-            raise ValueError("eps2 must be positive")
-        if self.mobility <= 0:
-            raise ValueError("mobility must be positive")
+        _check_positive(eps2=self.eps2, mobility=self.mobility)
 
 
 def _df_load(phi: NodalField, fe, n_q: int | None) -> np.ndarray:

@@ -3,9 +3,9 @@
 Two basis families are provided: the usual element-nodal family (equispaced
 nodes, endpoints included) and the quadrature-point-nodal family whose nodes
 sit at the Gauss points, which is what makes local mass matrices diagonal.
-``child_lattice_values`` tabulates the element-nodal basis on its
-children's node lattice, the one table that refinement and the hanging-node
-constraints read.
+``child_lattice_values`` tabulates the element-nodal basis, exactly rounded,
+on its children's node lattice, the one table that refinement and the
+hanging-node constraints read.
 
 Every tensor-product table in the package is ordered lexicographically, x
 fastest: local nodes, Gauss points, Morton children and the leaves of a
@@ -16,7 +16,9 @@ dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
+from math import prod
 
 import numpy as np
 
@@ -177,8 +179,15 @@ def child_lattice_values(p: int) -> np.ndarray:
     Row k holds N_j(-1 + k/p), the parent basis at the k-th child node
     along an axis. Refinement reads child c's rows c*p ... c*p + p; a
     hanging node k child-node spacings along a coarse edge reads row k.
+    Entries are exact rationals rounded once, so row 2p - k mirrors row k;
+    for p = 1, 2 they are dyadic and every row sums to exactly 1.
     """
-    table = element_nodal_basis(p).values_at(-1.0 + np.arange(2 * p + 1) / p).T
+
+    # N_j(x) at x = -1 + k/p: factors (x - x_i) / (x_j - x_i), nodes x_i = -1 + 2i/p
+    def entry(k: int, j: int) -> float:
+        return float(prod(Fraction(k - 2 * i, 2 * (j - i)) for i in range(p + 1) if i != j))
+
+    table = np.array([[entry(k, j) for j in range(p + 1)] for k in range(2 * p + 1)])
     table.flags.writeable = False
     return table
 

@@ -4,12 +4,14 @@ Refinement interpolates parent values at child node locations (exact for the
 represented field, hence conservative). It is element-local: each leaf of
 the refined mesh gets its row of local node values from one source leaf, so
 ``refine_leaf_field`` needs no node numbering of the refined mesh; its
-``nodal()`` scatters those rows through one. Coarsening comes in two
-flavours, both of which read the fine field only through its element values,
-so they accept a ``LeafField`` from ``refine_leaf_field`` as well as a
-``NodalField``: plain injection of coinciding nodal values, leaf by leaf, and
-the conservative route that restricts Gauss-point data onto merged parents
-and recovers nodal values by a global mass solve on the coarse mesh.
+``nodal()`` scatters those rows through one. Both coarsenings read the fine
+field only through per-leaf rows, so they accept a ``LeafField`` from
+``refine_leaf_field`` as well as a ``NodalField``, and share one kernel: an
+unchanged leaf copies its row and a merged family goes through
+``apply_restriction``. Injection reduces element values with the 0/1
+``injection_matrix``, exact for finite values; the conservative route
+reduces Gauss-point values with ``restriction_matrix`` and recovers nodal
+values by a global mass solve on the coarse mesh.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .errors import MeshStateError
 from .fem import GaussField, LeafField, NodalField, eval_at_gauss, project_l2
 from .mesh import CoarsenRecord, RefineRecord
 from .quadrature import child_lattice_values, lattice, tensor_kron
-from .restriction import apply_restriction, restriction_matrix
+from .restriction import apply_restriction, injection_matrix, restriction_matrix
 
 __all__ = [
     "TransferMode",
@@ -49,24 +51,6 @@ def _child_interp(dim: int, p: int, child: int) -> np.ndarray:
     """
     table = child_lattice_values(p)
     return tensor_kron([table[bit * p : bit * p + p + 1] for bit in lattice(2, dim)[child]])
-
-
-@lru_cache(maxsize=None)
-def _parent_nodes_in_children(dim: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each parent node sits among its children's nodes.
-
-    Returns (child, node), two (n_loc,) arrays: parent node a coincides with
-    local node ``node[a]`` of Morton child ``child[a]``, the first child whose
-    ``_child_interp`` row there is the unit vector e_a.
-    """
-    found = {}
-    for c in range(2**dim):
-        for b, row in enumerate(_child_interp(dim, p, c)):
-            hits = np.flatnonzero(row)
-            if len(hits) == 1 and row[hits[0]] == 1.0:
-                found.setdefault(int(hits[0]), (c, b))
-    child, node = np.array([found[a] for a in range(len(found))]).T
-    return child, node
 
 
 def refine_leaf_field(field: NodalField, record: RefineRecord) -> LeafField:
@@ -96,43 +80,43 @@ def refine_leaf_field(field: NodalField, record: RefineRecord) -> LeafField:
     return LeafField(mesh, field.p, rows, write_order=order)
 
 
+def _coarsen_rows(rows: np.ndarray, record: CoarsenRecord, matrix: np.ndarray) -> np.ndarray:
+    """Per-leaf rows (a field axis carried) on the coarsened mesh.
+
+    An unchanged leaf copies its row; a merged parent reduces its children's
+    rows (Morton order) through ``apply_restriction`` with the 1D ``matrix``.
+    """
+    out = np.empty((record.mesh_new.n_leaves,) + rows.shape[1:])
+    copies = record.copy_source >= 0
+    out[copies] = np.take(rows, record.copy_source[copies], axis=0)
+    if len(record.merges):
+        blocks = np.take(rows, record.merges, axis=0)
+        blocks = blocks.reshape((len(record.merges), -1) + rows.shape[2:])
+        out[~copies] = apply_restriction(matrix, record.mesh_old.dim, blocks)
+    return out
+
+
 def transfer_coarsen_injection(
     field: NodalField | LeafField, record: CoarsenRecord
 ) -> NodalField:
     """Keep fine nodal values that coincide with coarse nodes; drop the rest.
 
     Leaf-local: an unchanged leaf keeps its row of element values, and a
-    merged parent reads each of its nodes off the child that has it.
+    merged parent reads each of its nodes off the first child that has it
+    (the 0/1 ``injection_matrix``).
     """
     if field.mesh is not record.mesh_old:
         raise ValueError("field does not live on the record's source mesh")
-    fine = field.element_values()
-    rows = np.empty((record.mesh_new.n_leaves,) + fine.shape[1:])
-    copies = record.copy_source >= 0
-    rows[copies] = np.take(fine, record.copy_source[copies], axis=0)
-    if len(record.merges):
-        child, node = _parent_nodes_in_children(field.mesh.dim, field.p)
-        rows[~copies] = fine[record.merges[:, child], node]
+    rows = _coarsen_rows(field.element_values(), record, injection_matrix(field.p))
     return LeafField(record.mesh_new, field.p, rows).nodal()
 
 
 def restrict_gauss_field(gf: GaussField, record: CoarsenRecord) -> GaussField:
-    """Gauss-point stage of conservative coarsening.
-
-    Unchanged leaves copy their blocks verbatim; merged parents get the
-    restriction of their children's blocks (children in Morton order).
-    """
+    """Gauss-point stage of conservative coarsening: ``restriction_matrix`` per family."""
     if gf.mesh is not record.mesh_old:
         raise ValueError("gauss field does not live on the record's source mesh")
-    n_new = record.mesh_new.n_leaves
-    out = np.empty((n_new, gf.values.shape[1]))
-    copies = record.copy_source >= 0
-    out[copies] = np.take(gf.values, record.copy_source[copies], axis=0)
-    if len(record.merges):
-        blocks = np.take(gf.values, record.merges, axis=0).reshape(len(record.merges), -1)
-        matrix = restriction_matrix(gf.p, gf.n_q)
-        out[~copies] = apply_restriction(matrix, gf.mesh.dim, blocks)
-    return GaussField(record.mesh_new, gf.p, gf.n_q, out)
+    rows = _coarsen_rows(gf.values, record, restriction_matrix(gf.p, gf.n_q))
+    return GaussField(record.mesh_new, gf.p, gf.n_q, rows)
 
 
 def transfer_coarsen_conservative(
@@ -150,8 +134,6 @@ def transfer_coarsen_conservative(
     """
     if record.mesh_new is record.mesh_old:  # nothing merged: injection copies the values
         return transfer_coarsen_injection(field, record)
-    if field.mesh is not record.mesh_old:
-        raise ValueError("field does not live on the record's source mesh")
     gf_fine = eval_at_gauss(field, n_q)
     gf_coarse = restrict_gauss_field(gf_fine, record)
     return project_l2(gf_coarse, tol=tol)

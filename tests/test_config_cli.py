@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from amrfem.adapt import MmsCriterion
 from amrfem.config import ExperimentConfig, parse_config, serialize_config
+from amrfem.models import CahnHilliardProblem, DiffusionProblem
 from amrfem.runs import emit_outputs, run_demo1d
 
 
@@ -59,6 +61,55 @@ class TestConfig:
         setattr(cfg, field, value)
         with pytest.raises(ValueError, match=field):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("mms", "tau", 0.0),
+            ("mms", "kappa", -0.03),
+            ("mms", "fraction", 1.5),
+            ("mms", "theta", float("nan")),
+            ("spinodal", "eps2", 0.0),
+            ("spinodal", "mobility", -1.0),
+        ],
+    )
+    def test_physics_checked_for_the_kind_that_reads_it(self, kind, field, value):
+        cfg = ExperimentConfig(kind=kind)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=field):
+            cfg.validate()
+        cfg.kind = "spinodal" if kind == "mms" else "mms"
+        cfg.validate()
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: MmsCriterion(tau=float("nan"), fine_level=5), "tau"),
+            (lambda: MmsCriterion(tau=0.1, fine_level=5, fraction=-0.5), "fraction"),
+            (lambda: DiffusionProblem(kappa=0.0), "kappa"),
+            (lambda: DiffusionProblem(theta=2.0), "theta"),
+            (lambda: CahnHilliardProblem(eps2=float("nan")), "eps2"),
+            (lambda: CahnHilliardProblem(mobility=0.0), "mobility"),
+        ],
+    )
+    def test_dataclasses_share_the_checks(self, make, field):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            make()
+
+    def test_parse_from_a_path_with_an_equals_sign(self, tmp_path):
+        path = tmp_path / "run=1" / "exp.cfg"
+        path.parent.mkdir()
+        path.write_text("[experiment]\nkind = mms\n")
+        assert parse_config(str(path)).kind == "mms"
+        assert parse_config(path).kind == "mms"
+
+    def test_malformed_text_and_values_are_value_errors(self):
+        with pytest.raises(ValueError, match="malformed config"):
+            parse_config("kind = mms\n")
+        with pytest.raises(ValueError, match="invalid float for dt: 'soon'"):
+            parse_config("[time]\ndt = soon\n")
+        with pytest.raises(FileNotFoundError):
+            parse_config("no_such_file.cfg")
 
     def test_quad_points_bound_follows_degree(self):
         assert ExperimentConfig(degree=1, quad_points=2).validate().quad_points == 2
@@ -242,6 +293,30 @@ class TestCli:
         proc = run_cli(command, "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 2
         assert f"describes a {kind} run, not {command}" in proc.stderr
+        assert proc.stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, named",
+        [
+            ("mms", "[experiment]\nkind = mms\n\n[time]\ndt = 0\n", "dt"),
+            ("mms", "[experiment]\nkind = mms\n\n[adapt]\ntau = 0\n", "tau"),
+            ("mms", "[experiment]\nkind = mms\n\n[adapt]\nfraction = 1.5\n", "fraction"),
+            ("spinodal", "[experiment]\nkind = spinodal\n\n[physics]\neps2 = 0\n", "eps2"),
+            ("spinodal", "[experiment]\nkind = spinodal\n\n[physics]\nmobility = -1\n", "mobility"),
+            ("mms", "[experiment]\nkind = mms\n\n[time]\ndt = soon\n", "dt"),
+            ("mms", "kind = mms\n", "section header"),
+            ("mms", None, "missing.cfg"),
+        ],
+    )
+    def test_bad_config_exits_2(self, tmp_path, command, text, named):
+        cfg = tmp_path / ("missing.cfg" if text is None else "bad.cfg")
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr and f"--config {cfg}" in proc.stderr
         assert proc.stdout == "" and not out.exists()
 
     def test_spinodal_snapshots_into_a_new_out_directory(self, tmp_path):

@@ -317,6 +317,18 @@ class TestEnumerateNodes:
             for weights in _constraint_rows(nn)[1]:
                 assert sum(weights) == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_constraint_matrix_carries_ones_exactly(self, p):
+        # T @ 1 == 1 with no tolerance; at p = 2 the hanging rows at offset 3
+        # once summed to 1 - 2^-52
+        mesh = build_uniform(2, 2)
+        mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0, 5, 12]))
+        nn = enumerate_nodes(mesh2, p)
+        t = nn.constraint_matrix
+        assert nn.hanging.size and np.array_equal(t @ np.ones(t.shape[1]), np.ones(t.shape[0]))
+        if p == 2:
+            assert [-1 / 8, 3 / 4, 3 / 8] in _constraint_rows(nn)[1].tolist()
+
     def test_masters_are_independent(self):
         mesh = build_uniform(2, 2)
         mesh2, _ = execute_refine(mesh, leaf_mask(mesh, [0, 1, 2, 3]))

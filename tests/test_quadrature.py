@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from amrfem.quadrature import (
     tensor_weights,
 )
 from restriction_reference import tensor_index_map
+from topology_reference import exact_basis_values
 
 
 class TestGaussLegendre:
@@ -56,11 +59,26 @@ class TestGaussLegendre:
 class TestChildLatticeValues:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_bits_are_parent_basis_at_child_nodes(self, p):
+        # the exact basis values, each rounded once; the barycentric
+        # evaluation lands within an ulp of them
         table = child_lattice_values(p)
         assert table.shape == (2 * p + 1, p + 1)
         for k, row in enumerate(table.tolist()):
-            want = element_nodal_basis(p).values_at(-1.0 + k / p)[:, 0].tolist()
+            want = exact_basis_values(p, Fraction(k, p) - 1)
             assert [v.hex() for v in row] == [v.hex() for v in want]
+            near = element_nodal_basis(p).values_at(-1.0 + k / p)[:, 0]
+            assert np.abs(np.array(row) - near).max() <= 2.0**-52
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_rows_mirror_and_sum_to_one_exactly(self, p):
+        table = child_lattice_values(p)
+        assert np.array_equal(table[::-1, ::-1], table)
+        assert np.array_equal(table.sum(axis=1), np.ones(2 * p + 1))
+
+    def test_p2_half_points_are_dyadic(self):
+        table = child_lattice_values(2)
+        assert table[1].tolist() == [3 / 8, 3 / 4, -1 / 8]
+        assert table[3].tolist() == [-1 / 8, 3 / 4, 3 / 8]
 
     def test_cached_and_read_only(self):
         table = child_lattice_values(2)

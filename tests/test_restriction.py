@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amrfem.quadrature import gauss_legendre, tensor_weights
-from amrfem.restriction import apply_restriction, restriction_matrix
+from amrfem.restriction import apply_restriction, injection_matrix, restriction_matrix
 from restriction_reference import (
     apply_restriction_branches,
     apply_restriction_reference,
@@ -121,6 +121,25 @@ class TestBuild1D:
         assert restriction_matrix(2, 4) is mat
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
+
+
+class TestInjectionMatrix:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_coinciding_child_node_per_parent_node(self, p):
+        # parent node a sits at -1 + 2a/p; child c's node q at c - 1 + q/p
+        mat = injection_matrix(p)
+        assert mat.shape == (p + 1, 2 * (p + 1))
+        assert set(np.unique(mat)) == {0.0, 1.0} and np.array_equal(mat.sum(axis=1), np.ones(p + 1))
+        for a, col in enumerate(np.argmax(mat, axis=1)):
+            c, q = divmod(int(col), p + 1)
+            assert 2 * a == c * p + q  # the same point, in child-node spacings
+            assert c == 0 or 2 * a > p  # the first child that holds it
+
+    def test_cached_and_read_only(self):
+        mat = injection_matrix(2)
+        assert injection_matrix(2) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.5
 
 
 class TestBuildGeneral:
@@ -248,6 +267,42 @@ class TestApply:
             got = apply_restriction(mat, dim, fine)
             assert np.array_equal(got, apply_restriction_branches(mat, dim, fine))
 
+    @pytest.mark.parametrize("table", ["restriction", "elevated", "injection"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_block_reduces_like_its_columns(self, dim, p, table):
+        # a trailing field axis: each column comes out bit for bit as it
+        # would alone
+        mat = {
+            "restriction": restriction_matrix(p),
+            "elevated": restriction_matrix(p, p + 2),
+            "injection": injection_matrix(p),
+        }[table]
+        n_f = mat.shape[1] // 2
+        rng = np.random.default_rng(1000 * dim + 10 * p + len(table))
+        for m in (1, 7, 300):
+            block = rng.standard_normal((m, 2**dim * n_f**dim, 4))
+            got = apply_restriction(mat, dim, block)
+            assert got.shape == (m, mat.shape[0] ** dim, 4)
+            for j in range(4):
+                want = apply_restriction(mat, dim, block[:, :, j].copy())
+                assert np.ascontiguousarray(got[:, :, j]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_injection_keeps_values_bit_for_bit(self, dim, p):
+        # every product is x * 1 or x * 0, so each parent value is one of its
+        # children's, whatever its magnitude; labels say which one
+        mat = injection_matrix(p)
+        labels = np.arange(_block_size(dim, p), dtype=float)[None, :]
+        picked = apply_restriction(mat, dim, labels)[0].astype(int)
+        assert len(set(picked.tolist())) == (p + 1) ** dim
+        rng = np.random.default_rng(40 * dim + p)
+        scale = 10.0 ** rng.integers(-300, 300, (50, 1))
+        fine = rng.standard_normal((50, _block_size(dim, p))) * scale
+        got = apply_restriction(mat, dim, fine)
+        assert got.tobytes() == np.ascontiguousarray(fine[:, picked]).tobytes()
+
     def test_conservation_identity_2d_example(self):
         # sum_k w_k^2D coarse_k = (1/4) sum w^2D_q v_q, brute force both sides
         rng = np.random.default_rng(99)
@@ -276,6 +331,8 @@ class TestApply:
             apply_restriction(mat, 2, np.ones((1, 15)))
         with pytest.raises(ValueError):
             apply_restriction(mat, 2, np.ones(16))  # a batch, not a single block
+        with pytest.raises(ValueError):
+            apply_restriction(mat, 2, np.ones((1, 16, 2, 2)))  # at most one field axis
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):

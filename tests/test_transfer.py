@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import transfer_reference as reference
 from amrfem.errors import MeshStateError
 from amrfem.fem import (
+    LeafField,
     NodalField,
     assemble_mass,
     eval_at_gauss,
@@ -18,7 +21,8 @@ from amrfem.mesh import (
     execute_coarsen,
     execute_refine,
 )
-from amrfem.quadrature import child_lattice_values, element_nodal_basis
+from amrfem.quadrature import child_lattice_values
+from amrfem.restriction import apply_restriction, injection_matrix
 from amrfem.transfer import (
     _child_interp,
     refine_leaf_field,
@@ -27,6 +31,7 @@ from amrfem.transfer import (
     transfer_coarsen_injection,
 )
 from l2_distance import coarsen_l2_distance
+from topology_reference import exact_basis_values
 
 
 def mass(f: NodalField) -> float:
@@ -98,12 +103,16 @@ class TestTransferRefine:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_child_interp_is_kron_of_table_rows(self, dim, p):
         # bit for bit: Kronecker product of rows c*p ... c*p + p per axis,
-        # equal to the parent basis evaluated at the child's node lattice
-        table, basis = child_lattice_values(p), element_nodal_basis(p)
+        # equal to the parent basis at the child's node lattice, exact then rounded
+        table = child_lattice_values(p)
         for child in range(2**dim):
             bits = [(child >> axis) & 1 for axis in reversed(range(dim))]  # y, then x
             rows = [table[b * p : b * p + p + 1] for b in bits]
-            direct = [basis.values_at(0.5 * (basis.nodes + 2 * b - 1)).T for b in bits]
+            # node q of child b sits at (b * p + q) / p - 1 on the parent
+            direct = [
+                np.array([exact_basis_values(p, Fraction(b * p + q, p) - 1) for q in range(p + 1)])
+                for b in bits
+            ]
             got = [v.hex() for v in _child_interp(dim, p, child).ravel().tolist()]
             for factors in (rows, direct):
                 want = factors[0] if dim == 1 else np.kron(*factors)
@@ -201,6 +210,32 @@ class TestLeafLocalTransfer:
                 for g, w in zip(got, want):
                     assert g.mesh is w.mesh
                     assert g.values[..., j].tobytes() == w.values.tobytes()
+
+    def test_injection_matrix_picks_the_oracle_nodes(self, dim, p):
+        # label each (child, node) of one family by its flat index, inject
+        # the labels per axis and read back which (child, node) each parent
+        # node took: the first child holding it, as the row search found
+        n_loc = (p + 1) ** dim
+        labels = np.arange(2**dim * n_loc, dtype=float)[None, :]
+        picked = apply_restriction(injection_matrix(p), dim, labels)[0].astype(int)
+        child, node = reference.parent_nodes_in_children(dim, p)
+        assert np.array_equal(picked // n_loc, child)
+        assert np.array_equal(picked % n_loc, node)
+
+    def test_injection_takes_the_first_childs_value(self, dim, p):
+        # sibling rows that differ at their shared nodes (as no NodalField's
+        # do): the one parent reads each node off the first child holding it
+        rng = np.random.default_rng(600 + 10 * dim + p)
+        mesh = build_uniform(dim, 1)
+        n_loc = (p + 1) ** dim
+        rows = rng.standard_normal((mesh.n_leaves, n_loc, 2))
+        coarse, rec = coarsen(mesh)
+        assert coarse.n_leaves == 1 and rec.merges.tolist() == [list(range(2**dim))]
+        got = transfer_coarsen_injection(LeafField(mesh, p, rows), rec)
+        child, node = reference.parent_nodes_in_children(dim, p)
+        want = rows[rec.merges[0, child], node]
+        nn = enumerate_nodes(coarse, p)
+        assert got.values[nn.dof_of_node[nn.elem_nodes[0]]].tobytes() == want.tobytes()
 
     def test_coarsening_nothing_copies_the_field(self, dim, p):
         rng = np.random.default_rng(400 + 10 * dim + p)

@@ -16,15 +16,21 @@ node-key encoder, which these loops still use.
 vectorised hanging-node rule that encodes the lattice keys of each hanging
 node and its masters and looks them up in the sorted node keys, which the
 library replaced by reading both off the leaves' own node rows.
+
+``exact_basis_values`` evaluates the element-nodal basis in rational
+arithmetic, each value rounded once; the loop oracle's hanging weights and
+the tests of ``quadrature.child_lattice_values`` read it.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
 from amrfem.errors import MeshStateError
 from amrfem.mesh import MAX_LEVEL, MeshTopology, _faces
-from amrfem.quadrature import child_lattice_values, element_nodal_basis
+from amrfem.quadrature import child_lattice_values
 
 _DOMAIN = 1 << MAX_LEVEL
 
@@ -267,11 +273,23 @@ def coarsen(mesh: MeshTopology, mask: np.ndarray):
     )
 
 
+def exact_basis_values(p: int, xi: Fraction) -> list[float]:
+    """N_j(xi) for the degree-p equispaced basis on [-1, 1], exact then rounded."""
+    nodes = [Fraction(2 * i, p) - 1 for i in range(p + 1)]
+    values = []
+    for j, node in enumerate(nodes):
+        value = Fraction(1)
+        for i, other in enumerate(nodes):
+            if i != j:
+                value *= (xi - other) / (node - other)
+        values.append(float(value))
+    return values
+
+
 def hanging_constraints(mesh: MeshTopology, p: int, node_keys: np.ndarray) -> dict:
     """Hanging node -> (independent master nodes, weights), chains folded."""
     if mesh.dim == 1:
         return {}
-    basis = element_nodal_basis(p)
     lookup = leaf_lookup(mesh)
     raw: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
 
@@ -313,9 +331,8 @@ def hanging_constraints(mesh: MeshTopology, p: int, node_keys: np.ndarray) -> di
                 if pos in master_pos:
                     continue
                 node = node_id(plane, pos) if axis == 0 else node_id(pos, plane)
-                xi = 2.0 * (pos - coarse_lo) / (2.0 * hn) - 1.0
-                weights = basis.values_at(xi)[:, 0]
-                raw[node] = (masters, tuple(float(w) for w in weights))
+                weights = exact_basis_values(p, Fraction(pos - coarse_lo, hn) - 1)
+                raw[node] = (masters, tuple(weights))
 
     resolved = {}
     for node, (masters, weights) in raw.items():

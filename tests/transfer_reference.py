@@ -9,8 +9,15 @@ leaf-local versions that number only the mesh they return
 (``refine_leaf_field`` followed by ``LeafField.nodal``, and
 ``transfer_coarsen_injection``); ``tests/test_transfer.py`` requires the
 same values, bit for bit, on NodalFields.
+
+``parent_nodes_in_children`` is where the leaf-local injection once read a
+merged parent's nodes: it searched the children's interpolation rows for
+unit vectors. ``restriction.injection_matrix``, applied per axis, must pick
+the same (child, node) pairs.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,3 +60,21 @@ def transfer_coarsen_injection(field: NodalField, record: CoarsenRecord) -> Noda
     ):
         raise ValueError("coarse node without a coinciding fine node")
     return NodalField(record.mesh_new, field.p, old_vals[pos])
+
+
+@lru_cache(maxsize=None)
+def parent_nodes_in_children(dim: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each parent node sits among its children's nodes.
+
+    Returns (child, node), two (n_loc,) arrays: parent node a coincides with
+    local node ``node[a]`` of Morton child ``child[a]``, the first child whose
+    ``_child_interp`` row there is the unit vector e_a.
+    """
+    found = {}
+    for c in range(2**dim):
+        for b, row in enumerate(_child_interp(dim, p, c)):
+            hits = np.flatnonzero(row)
+            if len(hits) == 1 and row[hits[0]] == 1.0:
+                found.setdefault(int(hits[0]), (c, b))
+    child, node = np.array([found[a] for a in range(len(found))]).T
+    return child, node
