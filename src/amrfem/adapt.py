@@ -152,7 +152,6 @@ def adapt_cycle(
     criterion,
     energy_fn=None,
     project_tol: float = 1e-12,
-    n_q: int | None = None,
 ):
     """One adaptation cycle: refine stage, then coarsen stage.
 
@@ -161,7 +160,9 @@ def adapt_cycle(
     onto the refined mesh (``refine_leaf_field``); marking and coarsening
     read those per-leaf values, and during coarsening each field uses its
     own TransferMode (injection if none); a block field, (n_dofs, k) values,
-    is injected with one gather and one scatter per stage. When nothing
+    crosses each stage as one array: refinement interpolates its k columns
+    together, and injection reduces them together through
+    ``apply_restriction`` with the 0/1 ``injection_matrix``. When nothing
     merges, the per-leaf values are scattered onto the refined mesh. When
     merges happen and an energy functional is supplied, the energy mismatch
     of the conserved field across the coarsening transfer is recorded,
@@ -194,9 +195,7 @@ def adapt_cycle(
             new_fields = {}
             for name, f in fields.items():
                 if modes.get(name, TransferMode.INJECTION) is TransferMode.CONSERVATIVE:
-                    new_fields[name] = transfer_coarsen_conservative(
-                        f, record, tol=project_tol, n_q=n_q
-                    )
+                    new_fields[name] = transfer_coarsen_conservative(f, record, tol=project_tol)
                 else:
                     new_fields[name] = transfer_coarsen_injection(f, record)
             if energy_fn is not None:

@@ -21,7 +21,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_demo = sub.add_parser("demo1d", help="1D coarsening demo (three integrals)")
-    p_demo.add_argument("--basis", choices=("linear", "quad"), default="linear")
+    p_demo.add_argument("--basis", choices=("linear", "quad"), default=None)
     p_demo.add_argument("--config", default=None)
     p_demo.add_argument("--out", default=None)
 
@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rest_sub = p_rest.add_subparsers(dest="action", required=True)
     p_dump = rest_sub.add_parser("dump", help="print the 1D restriction matrix")
     p_dump.add_argument("--p", type=int, required=True, choices=(1, 2))
-    p_dump.add_argument("--nq", type=int, default=None)
 
     return parser
 
@@ -47,19 +46,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_restriction_dump(args) -> int:
     from .restriction import restriction_matrix
 
-    for row in restriction_matrix(args.p, args.nq):
+    for row in restriction_matrix(args.p):
         print(" ".join(f"{v:.17g}" for v in row))
     return 0
 
 
 def _cmd_demo1d(args, cfg) -> int:
+    """Print the three integrals; the basis is ``--basis``, else the config's, else linear."""
     from .runs import emit_outputs, run_demo1d
 
-    degree = 1 if args.basis == "linear" else 2
-    out_dir = args.out
-    if cfg is not None:
-        degree = cfg.degree
-        out_dir = out_dir or cfg.directory
+    degree = {"linear": 1, "quad": 2}.get(args.basis, cfg.degree if cfg else 1)
+    out_dir = args.out or (cfg.directory if cfg else None)
     report = run_demo1d(degree)
     print(f"original     {report['original']:.6f}")
     print(f"injection    {report['injection']:.6f}")
@@ -115,8 +112,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "restriction":
-        if args.nq is not None and args.nq < args.p + 1:
-            parser.error(f"--nq must be at least p+1={args.p + 1}, got {args.nq}")
         return _cmd_restriction_dump(args)
     cfg = None
     if args.config:

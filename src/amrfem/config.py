@@ -50,10 +50,8 @@ class ExperimentConfig:
     mms_amplitude: float = 0.1
     # [transfer]
     mode: str = "conservative"  # conservative | injection | both
-    quad_points: int = 0  # 0 -> p + 1
     # [solver]
     mass_tol: float = 1e-12
-    pcg_max_iter: int = 0  # 0 -> automatic
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
     # [output]
@@ -82,12 +80,7 @@ class ExperimentConfig:
         _check_positive(
             dt=self.dt, t_final=self.t_final, mass_tol=self.mass_tol, newton_tol=self.newton_tol
         )
-        if self.quad_points != 0 and self.quad_points < self.degree + 1:
-            raise ValueError(
-                f"quad_points must be 0 (for p + 1) or >= degree + 1 = {self.degree + 1}, "
-                f"got {self.quad_points}"
-            )
-        for name, low in (("pcg_max_iter", 0), ("newton_max_iter", 1), ("snapshot_every", 0)):
+        for name, low in (("newton_max_iter", 1), ("snapshot_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         return self
@@ -134,8 +127,8 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
         "amplitude",
         "mms_amplitude",
     ),
-    "transfer": ("mode", "quad_points"),
-    "solver": ("mass_tol", "pcg_max_iter", "newton_tol", "newton_max_iter"),
+    "transfer": ("mode",),
+    "solver": ("mass_tol", "newton_tol", "newton_max_iter"),
     "output": ("directory", "snapshot_every"),
 }
 

@@ -194,15 +194,15 @@ def _scatter_matrix(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
     return a
 
 
-def _assembled(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr_matrix:
-    """Constrained global operator T' A T of one kind, cached on the numbering."""
-    n_q = p + 1 if n_q is None else n_q
+def _assembled(mesh: MeshTopology, p: int, kind: str) -> sp.csr_matrix:
+    """Constrained global operator T' A T of one kind at the p + 1 rule,
+    cached on the numbering."""
     nn = enumerate_nodes(mesh, p)
-    key = (f"{kind}_c", n_q)
+    key = (f"{kind}_c",)
     mat = nn.cache.get(key)
     if mat is None:
-        _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, p, n_q)
-        _, scale = _element_rule(mesh, p, n_q)
+        _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, p, p + 1)
+        _, scale = _element_rule(mesh, p, p + 1)
         if kind == "mass":
             ref = mass_ref
         else:  # gradient factor (2/h)^2 times the volume Jacobian
@@ -212,14 +212,14 @@ def _assembled(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr
     return mat
 
 
-def assemble_mass(mesh: MeshTopology, p: int, n_q: int | None = None) -> sp.csr_matrix:
+def assemble_mass(mesh: MeshTopology, p: int) -> sp.csr_matrix:
     """Constrained global mass matrix, SPD on the independent dofs."""
-    return _assembled(mesh, p, n_q, "mass")
+    return _assembled(mesh, p, "mass")
 
 
-def assemble_stiffness(mesh: MeshTopology, p: int, n_q: int | None = None) -> sp.csr_matrix:
+def assemble_stiffness(mesh: MeshTopology, p: int) -> sp.csr_matrix:
     """Constrained global stiffness matrix (pure Neumann: singular)."""
-    return _assembled(mesh, p, n_q, "stiff")
+    return _assembled(mesh, p, "stiff")
 
 
 def eval_at_gauss(field: NodalField | LeafField, n_q: int | None = None) -> GaussField:
@@ -229,10 +229,9 @@ def eval_at_gauss(field: NodalField | LeafField, n_q: int | None = None) -> Gaus
     return GaussField(field.mesh, field.p, n_q, field.element_values() @ b)
 
 
-def eval_grad_at_gauss(field: NodalField | LeafField, n_q: int | None = None) -> np.ndarray:
-    """Physical gradients at Gauss points, shape (n_leaves, n_q^dim, dim)."""
-    n_q = field.p + 1 if n_q is None else n_q
-    grads = _tables(field.mesh.dim, field.p, n_q)[1]
+def eval_grad_at_gauss(field: NodalField | LeafField) -> np.ndarray:
+    """Physical gradients at the p + 1 Gauss points, shape (n_leaves, (p + 1)^dim, dim)."""
+    grads = _tables(field.mesh.dim, field.p, field.p + 1)[1]
     ev = field.element_values()
     scale = 2.0 / field.mesh.leaf_sizes_physical
     return np.stack([(ev @ g) * scale[:, None] for g in grads], axis=-1)
@@ -294,19 +293,28 @@ def _gauss_mass(gf: GaussField) -> sp.csr_matrix:
     return _scatter_matrix(enumerate_nodes(gf.mesh, gf.p), elem_mats)
 
 
-def project_l2(
-    gf: GaussField,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-) -> NodalField:
+def _check_element_rule(gf: GaussField) -> None:
+    """Reject Gauss data off the p + 1 rule, the one the mass matrix uses.
+
+    The L2 projection conserves the integral only when its load vector and
+    its mass matrix share a rule (``_element_rule``).
+    """
+    if gf.n_q != gf.p + 1:
+        raise ValueError(
+            f"gauss field has n_q = {gf.n_q} points per axis; p = {gf.p} needs n_q = p + 1"
+        )
+
+
+def project_l2(gf: GaussField, tol: float = 1e-12) -> NodalField:
     """Recover nodal coefficients from Gauss-point data by a mass solve.
 
-    The mass matrix is integrated with the same rule that produced ``gf``,
-    which is what makes the projection conservative up to solver residual.
+    ``gf`` must be on the p + 1 rule of the mass matrix, which is what makes
+    the projection conservative up to solver residual.
     """
-    mass = assemble_mass(gf.mesh, gf.p, gf.n_q)
+    _check_element_rule(gf)
+    mass = assemble_mass(gf.mesh, gf.p)
     rhs = _gauss_rhs(gf)
-    sol = solve_spd(SparseSystem(mass, rhs, tol=tol, max_iter=max_iter))
+    sol = solve_spd(SparseSystem(mass, rhs, tol=tol))
     return NodalField(gf.mesh, gf.p, sol)
 
 

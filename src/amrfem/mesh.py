@@ -407,9 +407,11 @@ class NodeNumbering:
     ``dof_of_node`` are the one record of the hanging nodes, and ``hanging``
     and ``n_dofs`` are read off them.
 
-    The operator caches are ``cache`` (assembled mass and stiffness, the
-    diffusion step's operators and the Cahn-Hilliard LU factor, keyed by
-    tuples whose first item names the kind) and the derived properties
+    The operator caches are ``cache`` (assembled mass and stiffness under
+    ``("mass_c",)`` and ``("stiff_c",)``, the diffusion step's operators
+    under ``("diffusion_ops", dt, theta, kappa)`` and the Cahn-Hilliard LU
+    factor under ``("ch_lu", dt, mobility, eps2)``: the first item names
+    the kind) and the derived properties
     ``summation_map``, ``constraint_transpose`` and ``dissection_order``.
     All are rebuilt on first use, so ``release_operators`` may free them at
     any time; the keys, coordinates, ``elem_nodes``, ``dof_of_node`` and T,

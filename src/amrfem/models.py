@@ -73,8 +73,6 @@ class DiffusionProblem:
     t_final: float = 1.0
     theta: float = 0.5
     mass_tol: float = 1e-12
-    pcg_max_iter: int | None = None
-    n_q: int | None = None  # None: p + 1 Gauss points per dimension
 
     def __post_init__(self):
         _check_positive(kappa=self.kappa)
@@ -98,25 +96,17 @@ def diffusion_step(field: NodalField, problem: DiffusionProblem) -> NodalField:
     """
     mesh, p = field.mesh, field.p
     nn = enumerate_nodes(mesh, p)
-    key = ("diffusion_ops", problem.dt, problem.theta, problem.kappa, problem.n_q)
+    key = ("diffusion_ops", problem.dt, problem.theta, problem.kappa)
     ops = nn.cache.get(key)
     if ops is None:
-        mass = assemble_mass(mesh, p, problem.n_q)
-        stiff = assemble_stiffness(mesh, p, problem.n_q)
+        mass = assemble_mass(mesh, p)
+        stiff = assemble_stiffness(mesh, p)
         lhs = (mass / problem.dt + (problem.theta * problem.kappa) * stiff).tocsr()
         rhs_op = (mass / problem.dt - ((1.0 - problem.theta) * problem.kappa) * stiff).tocsr()
         ops = (lhs, rhs_op)
         nn.cache[key] = ops
     lhs, rhs_op = ops
-    sol = solve_spd(
-        SparseSystem(
-            lhs,
-            rhs_op @ field.values,
-            tol=problem.mass_tol,
-            max_iter=problem.pcg_max_iter,
-        ),
-        x0=field.values,
-    )
+    sol = solve_spd(SparseSystem(lhs, rhs_op @ field.values, tol=problem.mass_tol), x0=field.values)
     return NodalField(mesh, p, sol)
 
 
@@ -197,16 +187,14 @@ class CahnHilliardProblem:
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
     mass_tol: float = 1e-12
-    pcg_max_iter: int | None = None
-    n_q: int | None = None
 
     def __post_init__(self):
         _check_positive(eps2=self.eps2, mobility=self.mobility)
 
 
-def _df_load(phi: NodalField, fe, n_q: int | None) -> np.ndarray:
+def _df_load(phi: NodalField, fe) -> np.ndarray:
     """Constrained vector of integral f'(phi) N_a using the element rule."""
-    gf = eval_at_gauss(phi, n_q)
+    gf = eval_at_gauss(phi)
     return _gauss_rhs(replace(gf, values=fe.df(gf.values)))
 
 
@@ -218,23 +206,19 @@ def ch_residual_and_jacobian(phi: NodalField, mu: NodalField, problem: CahnHilli
     """
     mesh, p = phi.mesh, phi.p
     fe = problem.free_energy
-    mass = assemble_mass(mesh, p, problem.n_q)
-    stiff = assemble_stiffness(mesh, p, problem.n_q)
+    mass = assemble_mass(mesh, p)
+    stiff = assemble_stiffness(mesh, p)
     n = len(phi.values)
     m_phi_old = mass @ phi.values
 
     def residual(u):
         phi_v, mu_v = u[:n], u[n:]
         r1 = (mass @ phi_v - m_phi_old) / dt + problem.mobility * (stiff @ mu_v)
-        r2 = (
-            mass @ mu_v
-            - _df_load(NodalField(mesh, p, phi_v), fe, problem.n_q)
-            - problem.eps2 * (stiff @ phi_v)
-        )
+        r2 = mass @ mu_v - _df_load(NodalField(mesh, p, phi_v), fe) - problem.eps2 * (stiff @ phi_v)
         return np.concatenate([r1, r2])
 
     def jacobian(u):
-        gf = eval_at_gauss(NodalField(mesh, p, u[:n]), problem.n_q)
+        gf = eval_at_gauss(NodalField(mesh, p, u[:n]))
         jf = _gauss_mass(replace(gf, values=fe.d2f(gf.values)))  # integral f''(phi) N_a N_b
         return sp.bmat(
             [[mass / dt, problem.mobility * stiff], [-(jf + problem.eps2 * stiff), mass]],
@@ -346,7 +330,7 @@ def _ch_substep(
     pivoting. A zero pivot raises NewtonError with the mesh size and dt.
 
     The factor is cached on the numbering under ``("ch_lu", dt, mobility,
-    eps2, n_q)`` for the next step. Before a refactorisation builds its
+    eps2)`` for the next step. Before a refactorisation builds its
     Jacobian, every cached factor of the numbering is released
     (``NodeNumbering.release_operators("ch_lu")``), so one L+U is alive at a
     time and a half-step retry's factor replaces the full step's.
@@ -360,8 +344,8 @@ def _ch_substep(
     perm[1::2] = perm[0::2] + n
     slot = np.empty_like(perm)
     slot[perm] = np.arange(2 * n)
-    lu_key = ("ch_lu", dt, problem.mobility, problem.eps2, problem.n_q)
-    w = assemble_mass(mesh, p, problem.n_q) @ np.ones(n)
+    lu_key = ("ch_lu", dt, problem.mobility, problem.eps2)
+    w = assemble_mass(mesh, p) @ np.ones(n)
     w_sum = np.add.reduce(w)
     mass_old = np.add.reduce(w * phi.values)
     u = np.concatenate([phi.values, mu.values]) if start is None else np.array(start, dtype=float)
@@ -442,18 +426,18 @@ def ch_step(phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, start
 def chemical_potential_init(phi: NodalField, problem: CahnHilliardProblem) -> NodalField:
     """Consistent initial mu: solve M mu = F(phi) + eps2 K phi."""
     mesh, p = phi.mesh, phi.p
-    mass = assemble_mass(mesh, p, problem.n_q)
-    stiff = assemble_stiffness(mesh, p, problem.n_q)
-    rhs = _df_load(phi, problem.free_energy, problem.n_q) + problem.eps2 * (stiff @ phi.values)
-    system = SparseSystem(mass, rhs, tol=problem.mass_tol, max_iter=problem.pcg_max_iter)
+    mass = assemble_mass(mesh, p)
+    stiff = assemble_stiffness(mesh, p)
+    rhs = _df_load(phi, problem.free_energy) + problem.eps2 * (stiff @ phi.values)
+    system = SparseSystem(mass, rhs, tol=problem.mass_tol)
     return NodalField(mesh, p, solve_spd(system))
 
 
 def energy(phi: NodalField, problem) -> float:
     """Ginzburg-Landau energy: integral of f(phi) + eps2/2 |grad phi|^2."""
     fe = problem.free_energy
-    gf = eval_at_gauss(phi, problem.n_q)
-    grads = eval_grad_at_gauss(phi, problem.n_q)
+    gf = eval_at_gauss(phi)
+    grads = eval_grad_at_gauss(phi)
     density = fe.f(gf.values) + 0.5 * problem.eps2 * _square_sum(grads)
     return integrate_gauss(replace(gf, values=density))
 

@@ -12,35 +12,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import element_nodal_basis, gauss_legendre, quad_point_basis
+from .quadrature import gauss_legendre, quad_point_basis
 
 __all__ = ["restriction_matrix", "injection_matrix", "apply_restriction"]
 
 
 @lru_cache(maxsize=None)
-def restriction_matrix(p: int, n_q: int | None = None) -> np.ndarray:
-    """Read-only 1D restriction matrix of shape (n_q, 2 * n_q), n_q >= p + 1.
+def restriction_matrix(p: int) -> np.ndarray:
+    """Read-only 1D restriction matrix of shape (p + 1, 2 * (p + 1)).
 
-    Column c*n_q + q holds the contribution of Gauss point q on child c
+    Column c*(p + 1) + q holds the contribution of Gauss point q on child c
     (c=0 left, c=1 right); the half in (w_q / 2) is the child-map Jacobian.
-    For the default n_q = p + 1 the local mass is diagonal in the
-    quadrature-point-nodal basis N_i and the entries are
-    (1/w_i) * (w_q / 2) * N_i(x_c(r_q)). More points solve the degree-p
-    local mass system and evaluate the coefficients at the parent's points.
+    On the p + 1 rule the local mass is diagonal in the
+    quadrature-point-nodal basis N_i, so the entries are
+    (1/w_i) * (w_q / 2) * N_i(x_c(r_q)).
     """
-    n = p + 1 if n_q is None else n_q
-    if n < p + 1:
-        raise ValueError(f"need at least p+1={p + 1} quadrature points, got {n}")
-    rule = gauss_legendre(n)
-    diagonal = n == p + 1
-    basis = quad_point_basis(p) if diagonal else element_nodal_basis(p)
+    rule = gauss_legendre(p + 1)
     child_points = np.concatenate([rule.points + 2 * c - 1 for c in (0, 1)])
+    basis = quad_point_basis(p)
     rhs = 0.5 * np.tile(rule.weights, 2)[None, :] * basis.values_at(0.5 * child_points)
-    if diagonal:
-        mat = rhs / rule.weights[:, None]
-    else:
-        vals = basis.values_at(rule.points)  # (p+1, n)
-        mat = vals.T @ np.linalg.solve((vals * rule.weights[None, :]) @ vals.T, rhs)
+    mat = rhs / rule.weights[:, None]
     mat.flags.writeable = False
     return mat
 

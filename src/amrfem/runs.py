@@ -68,8 +68,8 @@ class Timers:
         }
 
 
-def _field_mass(f: NodalField, n_q: int | None = None) -> float:
-    return integrate_gauss(eval_at_gauss(f, n_q))
+def _field_mass(f: NodalField) -> float:
+    return integrate_gauss(eval_at_gauss(f))
 
 
 def run_demo1d(degree: int, mass_tol: float = 1e-13) -> dict:
@@ -159,10 +159,7 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
         t_final=config.t_final,
         theta=config.theta,
         mass_tol=config.mass_tol,
-        pcg_max_iter=config.pcg_max_iter or None,
-        n_q=config.quad_points or None,
     )
-    n_q = config.quad_points or None
     timers = Timers()
     t_start = time.perf_counter()
 
@@ -173,7 +170,7 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
     crit = MmsCriterion(tau=config.tau, fine_level=config.level, fraction=config.fraction)
     diag = Diagnostics()
     nn = enumerate_nodes(mesh, p)
-    diag.add(0.0, _field_mass(phi, n_q), 0.0, 0.0, mesh.n_leaves, nn.n_dofs)
+    diag.add(0.0, _field_mass(phi), 0.0, 0.0, mesh.n_leaves, nn.n_dofs)
 
     n_steps = int(round(problem.t_final / problem.dt))
     events = 0
@@ -191,14 +188,13 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
                 "phi",
                 crit,
                 project_tol=config.mass_tol,
-                n_q=n_q,
             )
             phi = fields["phi"]
             timers.transfer += time.perf_counter() - t0
             if stats.n_merged:
                 events += 1
         nn = enumerate_nodes(mesh, p)
-        diag.add(t, _field_mass(phi, n_q), 0.0, 0.0, mesh.n_leaves, nn.n_dofs)
+        diag.add(t, _field_mass(phi), 0.0, 0.0, mesh.n_leaves, nn.n_dofs)
 
     err = _l2_error_vs_exact(phi, problem, t)
     timers.total = time.perf_counter() - t_start
@@ -283,10 +279,7 @@ def run_spinodal(
         newton_tol=config.newton_tol,
         newton_max_iter=config.newton_max_iter,
         mass_tol=config.mass_tol,
-        pcg_max_iter=config.pcg_max_iter or None,
-        n_q=config.quad_points or None,
     )
-    n_q = config.quad_points or None
     crit = InterfaceCriterion(
         band_lo=config.band_lo,
         band_hi=config.band_hi,
@@ -304,7 +297,7 @@ def run_spinodal(
 
     diag = Diagnostics()
     nn = enumerate_nodes(mesh, p)
-    diag.add(0.0, _field_mass(phi, n_q), energy_fn(phi), 0.0, mesh.n_leaves, nn.n_dofs)
+    diag.add(0.0, _field_mass(phi), energy_fn(phi), 0.0, mesh.n_leaves, nn.n_dofs)
     delta_e_events: list[float] = []
     completed = True
     failure = ""
@@ -340,7 +333,6 @@ def run_spinodal(
                     crit,
                     energy_fn=energy_fn,
                     project_tol=config.mass_tol,
-                    n_q=n_q,
                 )
                 phi, carried = fields["phi"], np.ascontiguousarray(fields["carried"].values.T)
                 mu = NodalField(mesh, p, carried[0])
@@ -353,7 +345,7 @@ def run_spinodal(
             if step_energy is None:
                 step_energy = energy_fn(phi)
             nn = enumerate_nodes(mesh, p)
-            diag.add(t, _field_mass(phi, n_q), step_energy, step_delta_e, mesh.n_leaves, nn.n_dofs)
+            diag.add(t, _field_mass(phi), step_energy, step_delta_e, mesh.n_leaves, nn.n_dofs)
             if snapshots and step % config.snapshot_every == 0:
                 write_vtk(
                     os.path.join(snapshots, f"snapshot_{mode}_{step:06d}.vtk"),

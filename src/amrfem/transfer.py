@@ -15,13 +15,14 @@ values by a global mass solve on the coarse mesh.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import MeshStateError
-from .fem import GaussField, LeafField, NodalField, eval_at_gauss, project_l2
+from .fem import GaussField, LeafField, NodalField, _check_element_rule, eval_at_gauss, project_l2
 from .mesh import CoarsenRecord, RefineRecord
 from .quadrature import child_lattice_values, lattice, tensor_kron
 from .restriction import apply_restriction, injection_matrix, restriction_matrix
@@ -112,18 +113,19 @@ def transfer_coarsen_injection(
 
 
 def restrict_gauss_field(gf: GaussField, record: CoarsenRecord) -> GaussField:
-    """Gauss-point stage of conservative coarsening: ``restriction_matrix`` per family."""
+    """Gauss-point stage of conservative coarsening: ``restriction_matrix`` per
+    family; ``gf`` must be on the p + 1 rule."""
     if gf.mesh is not record.mesh_old:
         raise ValueError("gauss field does not live on the record's source mesh")
-    rows = _coarsen_rows(gf.values, record, restriction_matrix(gf.p, gf.n_q))
-    return GaussField(record.mesh_new, gf.p, gf.n_q, rows)
+    _check_element_rule(gf)
+    rows = _coarsen_rows(gf.values, record, restriction_matrix(gf.p))
+    return replace(gf, mesh=record.mesh_new, values=rows)
 
 
 def transfer_coarsen_conservative(
     field: NodalField | LeafField,
     record: CoarsenRecord,
     tol: float = 1e-12,
-    n_q: int | None = None,
 ) -> NodalField:
     """Conservative child-to-parent transfer.
 
@@ -134,6 +136,6 @@ def transfer_coarsen_conservative(
     """
     if record.mesh_new is record.mesh_old:  # nothing merged: injection copies the values
         return transfer_coarsen_injection(field, record)
-    gf_fine = eval_at_gauss(field, n_q)
+    gf_fine = eval_at_gauss(field)
     gf_coarse = restrict_gauss_field(gf_fine, record)
     return project_l2(gf_coarse, tol=tol)

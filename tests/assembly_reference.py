@@ -21,9 +21,9 @@ from amrfem.fem import GaussField, _tables
 from amrfem.mesh import MeshTopology, NodeNumbering, enumerate_nodes
 
 
-def _node_operator(mesh: MeshTopology, nn: NodeNumbering, n_q: int, kind: str) -> sp.csr_matrix:
-    """Unconstrained mass or stiffness matrix over all geometric nodes."""
-    _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, nn.p, n_q)
+def _node_operator(mesh: MeshTopology, nn: NodeNumbering, kind: str) -> sp.csr_matrix:
+    """Unconstrained mass or stiffness matrix over all geometric nodes (p + 1 rule)."""
+    _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, nn.p, nn.p + 1)
     h = mesh.leaf_sizes_physical
     scale = (0.5 * h) ** mesh.dim
     if kind == "mass":
@@ -51,12 +51,11 @@ def scatter_matrix_reference(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr
     return (t.T @ (element_sum_reference(nn, elem_mats) @ t)).tocsr()
 
 
-def assembled_reference(mesh: MeshTopology, p: int, n_q: int | None, kind: str) -> sp.csr_matrix:
+def assembled_reference(mesh: MeshTopology, p: int, kind: str) -> sp.csr_matrix:
     """Constrained global operator T' A T of one kind, uncached."""
-    n_q = p + 1 if n_q is None else n_q
     nn = enumerate_nodes(mesh, p)
     t = nn.constraint_matrix
-    return (t.T @ (_node_operator(mesh, nn, n_q, kind) @ t)).tocsr()
+    return (t.T @ (_node_operator(mesh, nn, kind) @ t)).tocsr()
 
 
 def _gauss_rhs(gf: GaussField) -> np.ndarray:
@@ -69,12 +68,10 @@ def _gauss_rhs(gf: GaussField) -> np.ndarray:
     return nn.constraint_matrix.T @ rhs
 
 
-def _nonlinear_rhs(
-    mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe, n_q: int | None = None
-) -> np.ndarray:
+def _nonlinear_rhs(mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe) -> np.ndarray:
     """Constrained vector of integral f'(phi) N_a using the element rule."""
     nn = enumerate_nodes(mesh, p)
-    b, _, w, _, _, _ = _tables(mesh.dim, p, n_q or (p + 1))
+    b, _, w, _, _, _ = _tables(mesh.dim, p, p + 1)
     node_vals = nn.node_values(phi_vals)
     gauss = node_vals[nn.elem_nodes] @ b
     jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
@@ -83,12 +80,10 @@ def _nonlinear_rhs(
     return nn.constraint_matrix.T @ out
 
 
-def _nonlinear_jacobian(
-    mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe, n_q: int | None = None
-) -> sp.csr_matrix:
+def _nonlinear_jacobian(mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe) -> sp.csr_matrix:
     """Constrained matrix of integral f''(phi) N_a N_b."""
     nn = enumerate_nodes(mesh, p)
-    b, _, w, _, _, _ = _tables(mesh.dim, p, n_q or (p + 1))
+    b, _, w, _, _, _ = _tables(mesh.dim, p, p + 1)
     node_vals = nn.node_values(phi_vals)
     gauss = node_vals[nn.elem_nodes] @ b
     jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim

@@ -12,7 +12,9 @@ to agree with two of them:
   it bit for bit.
 
 ``local_mass_restriction`` builds the 1D matrix by solving the degree-p
-local mass system at every point count, as the earlier general builder did.
+local mass system at any point count. At p + 1 points it must give
+``restriction_matrix``; its wider tables on more points keep
+``apply_restriction`` tested on tables that are not square per child.
 """
 from __future__ import annotations
 

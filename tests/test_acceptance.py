@@ -281,7 +281,6 @@ def spinodal_runs():
         )
         problem = a.CahnHilliardProblem(
             free_energy=a.make_free_energy(cfg.free_energy), eps2=cfg.eps2,
-            n_q=cfg.quad_points or None,
         )
         events = []
         with pytest.MonkeyPatch.context() as mp:

@@ -330,11 +330,11 @@ class TestAdaptCycle:
         built = []
         real = fem.assemble_mass
 
-        def checking(m, p, n_q=None):
+        def checking(m, p):
             if m is not mesh:
                 assert not nn.cache and not any(name in vars(nn) for name in derived)
                 built.append(m)
-            return real(m, p, n_q)
+            return real(m, p)
 
         monkeypatch.setattr(fem, "assemble_mass", checking)
         mesh2, fields, stats = adapt_cycle(

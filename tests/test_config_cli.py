@@ -22,9 +22,11 @@ class TestConfig:
         assert serialize_config(again) == text
 
     def test_unknown_key_is_hard_error(self):
-        text = "[experiment]\nkind = mms\ntypo_key = 3\n"
-        with pytest.raises(ValueError, match="typo_key"):
-            parse_config(text)
+        # a typo, and the removed quadrature and PCG-cap keys
+        keys = (("experiment", "typo_key"), ("transfer", "quad_points"), ("solver", "pcg_max_iter"))
+        for section, key in keys:
+            with pytest.raises(ValueError, match=rf"unknown key '{key}' in section \[{section}\]"):
+                parse_config(f"[{section}]\n{key} = 3\n")
 
     def test_unknown_section_is_hard_error(self):
         with pytest.raises(ValueError, match="section"):
@@ -48,8 +50,6 @@ class TestConfig:
             ("dt", -0.01),
             ("dt", 0.0),
             ("t_final", 0.0),
-            ("quad_points", 1),
-            ("pcg_max_iter", -3),
             ("newton_max_iter", 0),
             ("mass_tol", 0.0),
             ("newton_tol", -1e-10),
@@ -111,19 +111,14 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             parse_config("no_such_file.cfg")
 
-    def test_quad_points_bound_follows_degree(self):
-        assert ExperimentConfig(degree=1, quad_points=2).validate().quad_points == 2
-        with pytest.raises(ValueError, match="quad_points"):
-            ExperimentConfig(degree=2, quad_points=2).validate()
-
     def test_shipped_configs_validate(self):
         # each file parses, and to the same canonical text (SHA-256 prefixes)
         digests = {
-            "demo1d.cfg": "f3b0a5969b226899",
-            "mms_q1_l5.cfg": "5660559290a915b3",
-            "mms_q2_l5.cfg": "c78ed4160d801d60",
-            "spinodal_fh.cfg": "1919aa39d9bf9eec",
-            "spinodal_poly.cfg": "c7e2ac085ebc6fb4",
+            "demo1d.cfg": "212d48ae59e402f8",
+            "mms_q1_l5.cfg": "4d2093027fb5e02a",
+            "mms_q2_l5.cfg": "a08f14f591f4b205",
+            "spinodal_fh.cfg": "5542f709d4802090",
+            "spinodal_poly.cfg": "07bf24acfa807d90",
         }
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
         assert sorted(map(os.path.basename, glob.glob(os.path.join(root, "*.cfg")))) == sorted(digests)
@@ -191,12 +186,6 @@ class TestCli:
         assert np.asarray(rows).shape == (2, 4)
         assert rows[0][0] == pytest.approx(0.5915063509461096, abs=1e-15)
 
-    def test_restriction_dump_elevated_quadrature(self):
-        proc = run_cli("restriction", "dump", "--p", "1", "--nq", "3")
-        assert proc.returncode == 0
-        rows = [list(map(float, line.split())) for line in proc.stdout.strip().splitlines()]
-        assert np.asarray(rows).shape == (3, 6)
-
     def test_restriction_dump_loads_no_scipy(self):
         # the package namespace is lazy, so the dump stays off the solver stack
         proc = subprocess.run(
@@ -212,14 +201,6 @@ class TestCli:
         ]
         assert "amrfem.restriction" in loaded
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
-
-    def test_restriction_dump_rejects_too_few_points(self):
-        proc = run_cli("restriction", "dump", "--p", "2", "--nq", "2")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        error = proc.stderr.strip().splitlines()[-1]
-        assert "--nq must be at least p+1=3, got 2" in error
 
     @staticmethod
     def parse_demo(stdout):
@@ -244,6 +225,24 @@ class TestCli:
         assert vals["original"] == pytest.approx(10.6367, abs=1e-3)
         assert vals["injection"] == pytest.approx(10.6381, abs=1e-3)
         assert vals["conservative"] == pytest.approx(10.6367, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "cfg_degree, flag, degree", [(1, "quad", 2), (2, "linear", 1), (2, None, 2), (None, None, 1)]
+    )
+    def test_demo1d_basis_is_flag_then_config_then_linear(self, tmp_path, cfg_degree, flag, degree):
+        out = tmp_path / "out"
+        args = ["demo1d", "--out", str(out)]
+        if cfg_degree is not None:
+            cfg = tmp_path / "demo.cfg"
+            cfg.write_text(f"[experiment]\nkind = demo1d\ndegree = {cfg_degree}\n")
+            args += ["--config", str(cfg)]
+        if flag is not None:
+            args += ["--basis", flag]
+        proc = run_cli(*args)
+        assert proc.returncode == 0, proc.stderr
+        injection = {1: 10.6036, 2: 10.6381}[degree]
+        assert self.parse_demo(proc.stdout)["injection"] == pytest.approx(injection, abs=1e-3)
+        assert f"degree={degree}\n" in (out / "summary.txt").read_text()
 
     def test_mms_cli_with_config(self, tmp_path):
         cfg = tmp_path / "mms.cfg"

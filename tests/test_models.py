@@ -286,7 +286,7 @@ class TestChStep:
 
         monkeypatch.setattr(models, "spla", RecordingLinalg())
         ch_step(phi, mu, prob)
-        lu = nn.cache[("ch_lu", prob.dt, prob.mobility, prob.eps2, prob.n_q)]
+        lu = nn.cache[("ch_lu", prob.dt, prob.mobility, prob.eps2)]
         jac = factored[-1]
         assert jac.dtype == np.float32  # the factor is single precision
         pivoted = spla.splu(jac.astype(np.float64))
@@ -307,7 +307,7 @@ class TestChStep:
         phi = random_mixture_ic(mesh, 1, 0.0, 0.1, 3)
         mu = chemical_potential_init(phi, prob)
         ch_step(phi, mu, prob)
-        lu = enumerate_nodes(mesh, 1).cache[("ch_lu", prob.dt, prob.mobility, prob.eps2, prob.n_q)]
+        lu = enumerate_nodes(mesh, 1).cache[("ch_lu", prob.dt, prob.mobility, prob.eps2)]
         assert np.array_equal(lu.perm_c, np.arange(lu.shape[0]))  # no reordering by SuperLU
         # without pivots the fill depends on the pattern only, which any state shares
         _, jacobian = ch_residual_and_jacobian(phi, mu, prob, prob.dt)
@@ -529,7 +529,7 @@ class TestChStep:
         monkeypatch.setattr(models, "_ch_substep", failing_full_step)
         ch_step(phi, mu, prob)
         assert len(calls) > 2
-        assert lu_keys() == [("ch_lu", prob.dt / 2, prob.mobility, prob.eps2, prob.n_q)]
+        assert lu_keys() == [("ch_lu", prob.dt / 2, prob.mobility, prob.eps2)]
 
     def test_substep_is_independent_of_blas_threads(self):
         # OpenBLAS splits dot products above 10,000 entries across threads;

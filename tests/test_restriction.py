@@ -79,23 +79,23 @@ HEX_PINS = {
 }
 
 
-def _weighted_column_sums(p, n_q):
+def _weighted_column_sums(p):
     # testing with v=1 in the Galerkin condition gives the discrete
     # conservation identity sum_i w_i R[i,(c,q)] = w_q / 2
-    w = gauss_legendre(n_q).weights
-    col = w @ restriction_matrix(p, n_q)
+    w = gauss_legendre(p + 1).weights
+    col = w @ restriction_matrix(p)
     return np.abs(col - 0.5 * np.concatenate([w, w])).max()
 
 
 class TestBuild1D:
     def test_q1_matches_reference_matrix(self):
-        mat = restriction_matrix(1, 2)
+        mat = restriction_matrix(1)
         assert np.abs(mat - REFERENCE_Q1).max() <= 1e-9
         assert mat[0, 0] == pytest.approx(0.5915063509461096, abs=1e-15)
         assert mat[0, 3] == pytest.approx(-0.09150635094610965, abs=1e-15)
 
     def test_q2_matches_reference_matrix(self):
-        mat = restriction_matrix(2, 3)
+        mat = restriction_matrix(2)
         assert np.abs(mat - REFERENCE_Q2).max() <= 1e-9
         assert mat[0, 0] == pytest.approx(0.614415278851, abs=1e-9)
         assert mat[1, 1] == pytest.approx(0.291666666667, abs=1e-9)
@@ -114,11 +114,11 @@ class TestBuild1D:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_weighted_column_sums(self, p):
-        assert _weighted_column_sums(p, p + 1) <= 1e-12
+        assert _weighted_column_sums(p) <= 1e-12
 
     def test_cached_and_read_only(self):
-        mat = restriction_matrix(2, 4)
-        assert restriction_matrix(2, 4) is mat
+        mat = restriction_matrix(2)
+        assert restriction_matrix(2) is mat
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
 
@@ -148,20 +148,6 @@ class TestBuildGeneral:
         for p in (1, 2):
             gen = local_mass_restriction(p, p + 1)
             assert np.abs(gen - restriction_matrix(p)).max() <= 1e-13
-
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_elevated_quadrature_is_local_mass_solve(self, p):
-        assert np.array_equal(restriction_matrix(p, p + 2), local_mass_restriction(p, p + 2))
-
-    def test_conservation_with_elevated_quadrature(self):
-        assert _weighted_column_sums(1, 3) <= 1e-12
-
-    def test_row_sums_p2_four_points(self):
-        assert np.abs(restriction_matrix(2, 4).sum(axis=1) - 1.0).max() <= 1e-12
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            restriction_matrix(2, 2)
 
 
 def _child_gauss_points_1d(rule):
@@ -259,8 +245,9 @@ class TestApply:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_einsum_branches_bitwise(self, dim, p, extra):
+        # extra = 1: the wider (p + 2, 2 (p + 2)) table of a local mass solve
         n_q = p + 1 + extra
-        mat = restriction_matrix(p, n_q)
+        mat = local_mass_restriction(p, n_q) if extra else restriction_matrix(p)
         rng = np.random.default_rng(100 * dim + 10 * p + extra)
         for m in (1, 7, 300):
             fine = rng.standard_normal((m, 2**dim * n_q**dim))
@@ -275,7 +262,7 @@ class TestApply:
         # would alone
         mat = {
             "restriction": restriction_matrix(p),
-            "elevated": restriction_matrix(p, p + 2),
+            "elevated": local_mass_restriction(p, p + 2),
             "injection": injection_matrix(p),
         }[table]
         n_f = mat.shape[1] // 2

@@ -42,16 +42,6 @@ class TestMmsSmall:
         for n in res.diagnostics.n_elements:
             assert 64 <= n <= 256  # levels {3, 4} only
 
-    def test_elevated_quadrature_knob(self):
-        # quad_points=3 drives the general restriction path end to end
-        cfg = ExperimentConfig(
-            kind="mms", degree=1, level=4, dt=0.02, t_final=0.1, tau=2e-2,
-            mass_tol=1e-13, quad_points=3,
-        )
-        res = run_mms(cfg, "conservative")
-        assert abs(res.mass_drift_final) <= 1e-11
-        assert res.n_coarsen_events > 0
-
 
 class TestDriverMode:
     """Each driver runs one TransferMode; expanding "both" into two runs is the CLI's job."""

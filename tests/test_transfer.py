@@ -12,6 +12,7 @@ from amrfem.fem import (
     eval_at_gauss,
     integrate_gauss,
     interpolate_nodal,
+    project_l2,
 )
 from amrfem.mesh import (
     MeshTopology,
@@ -376,35 +377,20 @@ class TestRandomisedConservation:
         assert injection_failed_somewhere
 
 
-class TestElevatedQuadrature:
-    def test_conservative_transfer_with_three_point_rule(self):
-        # n_q = p + 2 takes the local-mass-solve (non-diagonal) restriction
-        # matrix; conservation must survive unchanged
-        mesh = build_uniform(1, 4)
-        f = interpolate_nodal(mesh, 1, demo_profile)
-        gf = eval_at_gauss(f, n_q=3)
-        before = integrate_gauss(gf)
-        _, rec = coarsen(mesh)
-        f2 = transfer_coarsen_conservative(f, rec, tol=1e-14, n_q=3)
-        after = mass_nq(f2, 3)
-        assert abs(after - before) <= 1e-11
+class TestOneRule:
+    # the mass matrix integrates on the p + 1 rule only, so Gauss data on
+    # another rule cannot be restricted or projected conservatively
+    def test_projection_rejects_another_rule(self):
+        f = interpolate_nodal(build_uniform(2, 2), 1, demo_profile)
+        with pytest.raises(ValueError, match=r"n_q = 3 .*p = 1"):
+            project_l2(eval_at_gauss(f, 3))
 
-    def test_2d_elevated_rule_on_adapted_mesh(self):
+    def test_restriction_rejects_another_rule(self):
         mesh = build_uniform(2, 2)
-        mesh, _ = refine(mesh, [0, 5])
-        rng = np.random.default_rng(11)
-        nn = enumerate_nodes(mesh, 1)
-        f = NodalField(mesh, 1, rng.standard_normal(nn.n_dofs))
-        before = mass_nq(f, 3)
-        fine = np.nonzero(mesh.levels == 3)[0]
-        _, rec = coarsen(mesh, fine)
-        assert len(rec.merges)
-        f2 = transfer_coarsen_conservative(f, rec, tol=1e-13, n_q=3)
-        assert abs(mass_nq(f2, 3) - before) <= 1e-10
-
-
-def mass_nq(f, n_q):
-    return integrate_gauss(eval_at_gauss(f, n_q=n_q))
+        f = interpolate_nodal(mesh, 1, demo_profile)
+        _, rec = coarsen(mesh)
+        with pytest.raises(ValueError, match=r"n_q = 3 .*p = 1"):
+            restrict_gauss_field(eval_at_gauss(f, 3), rec)
 
 
 class TestL2Optimality:
