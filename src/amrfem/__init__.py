@@ -28,7 +28,7 @@ _EXPORTS = {
     "adapt": "CycleStats InterfaceCriterion MmsCriterion adapt_cycle element_gradient_norms "
     "mark_interface mark_mms",
     "config": "ExperimentConfig parse_config serialize_config",
-    "runs": "convergence_slope emit_outputs run_demo1d run_mms run_spinodal",
+    "runs": "emit_outputs run_demo1d run_mms run_spinodal",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

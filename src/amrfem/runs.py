@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapt import InterfaceCriterion, MmsCriterion, adapt_cycle
+from .adapt import CycleStats, InterfaceCriterion, MmsCriterion, adapt_cycle
 from .config import ExperimentConfig
 from .errors import NewtonError, SolverError
 from .fem import (
@@ -43,7 +43,6 @@ __all__ = [
     "run_mms",
     "run_spinodal",
     "emit_outputs",
-    "convergence_slope",
     "MmsResult",
     "SpinodalResult",
 ]
@@ -99,6 +98,63 @@ def run_demo1d(degree: int, mass_tol: float = 1e-13) -> dict:
         "n_fine_elements": mesh.n_leaves,
         "n_coarse_elements": coarse_mesh.n_leaves,
     }
+
+
+def _evolve(state, advance, tmode, criterion, problem, config, timers, energy_fn=None,
+            snapshot=None, stop_on=()):
+    """Row 0, then steps 1..N of a run: the one time loop of both drivers.
+
+    ``state`` maps names to NodalFields on one mesh, the conserved field
+    under "phi". Each step merges ``advance(state)`` into it (timed into
+    ``timers.pde_solve``); every ``config.adapt_every`` steps ``adapt_cycle``
+    moves it, phi by ``tmode`` and the rest by injection (timed into
+    ``timers.transfer``); then a Diagnostics row takes phi's mass and energy
+    (the cycle's, else ``energy_fn(phi)``, else 0) and ``snapshot(step,
+    state)`` runs. The dict is updated in place and the mesh read from phi,
+    so no earlier mesh outlives its step. An error of a ``stop_on`` type
+    ends the loop. Returns (diagnostics, delta_e of each merging cycle, t of
+    the last step begun, that error or None).
+
+    ``ch_step``, ``diffusion_step``, ``adapt_cycle``, ``energy`` and
+    ``write_vtk`` are looked up in this module at each call, never bound
+    early: perfbench's step stamp (``clock.StepLaps``) swaps the step for
+    one run and ends a set-up-only run at its first call, which a step
+    bound before the swap would turn into a full run. Tests patch them too.
+    """
+    diag, delta_e_events, modes = Diagnostics(), [], {"phi": tmode}
+
+    def add_row(t, stats):
+        phi = state["phi"]
+        e = stats.energy  # set only by a cycle that merged, given energy_fn
+        if e is None:
+            e = energy_fn(phi) if energy_fn else 0.0
+        n_dofs = enumerate_nodes(phi.mesh, phi.p).n_dofs
+        diag.add(t, _field_mass(phi), e, stats.delta_e, phi.mesh.n_leaves, n_dofs)
+
+    t = 0.0
+    add_row(t, CycleStats())
+    try:
+        for step in range(1, int(round(problem.t_final / problem.dt)) + 1):
+            t = step * problem.dt
+            t0 = time.perf_counter()
+            state.update(advance(state))
+            timers.pde_solve += time.perf_counter() - t0
+            stats = CycleStats()
+            if step % config.adapt_every == 0:
+                t0 = time.perf_counter()
+                _, fields, stats = adapt_cycle(
+                    state, modes, "phi", criterion, energy_fn=energy_fn, project_tol=config.mass_tol
+                )
+                state.update(fields)
+                timers.transfer += time.perf_counter() - t0
+                if stats.n_merged:
+                    delta_e_events.append(stats.delta_e)
+            add_row(t, stats)
+            if snapshot:
+                snapshot(step, state)
+    except stop_on as exc:
+        return diag, delta_e_events, t, exc
+    return diag, delta_e_events, t, None
 
 
 @dataclass
@@ -163,40 +219,12 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
     timers = Timers()
     t_start = time.perf_counter()
 
-    mesh = build_uniform(2, config.level)
-    phi = interpolate_nodal(
-        mesh, p, lambda c: mms_exact(c[:, 0], c[:, 1], 0.0, problem)
-    )
+    initial = lambda c: mms_exact(c[:, 0], c[:, 1], 0.0, problem)
+    state = {"phi": interpolate_nodal(build_uniform(2, config.level), p, initial)}
     crit = MmsCriterion(tau=config.tau, fine_level=config.level, fraction=config.fraction)
-    diag = Diagnostics()
-    nn = enumerate_nodes(mesh, p)
-    diag.add(0.0, _field_mass(phi), 0.0, 0.0, mesh.n_leaves, nn.n_dofs)
-
-    n_steps = int(round(problem.t_final / problem.dt))
-    events = 0
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        t = step * problem.dt
-        t0 = time.perf_counter()
-        phi = diffusion_step(phi, problem)
-        timers.pde_solve += time.perf_counter() - t0
-        if step % config.adapt_every == 0:
-            t0 = time.perf_counter()
-            mesh, fields, stats = adapt_cycle(
-                {"phi": phi},
-                {"phi": tmode},
-                "phi",
-                crit,
-                project_tol=config.mass_tol,
-            )
-            phi = fields["phi"]
-            timers.transfer += time.perf_counter() - t0
-            if stats.n_merged:
-                events += 1
-        nn = enumerate_nodes(mesh, p)
-        diag.add(t, _field_mass(phi), 0.0, 0.0, mesh.n_leaves, nn.n_dofs)
-
-    err = _l2_error_vs_exact(phi, problem, t)
+    advance = lambda s: {"phi": diffusion_step(s["phi"], problem)}
+    diag, events, t, _ = _evolve(state, advance, tmode, crit, problem, config, timers)
+    err = _l2_error_vs_exact(state["phi"], problem, t)
     timers.total = time.perf_counter() - t_start
     drift = diag.mass_drift()
     return MmsResult(
@@ -207,7 +235,7 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
         mass_drift_final=float(drift[-1]),
         diagnostics=diag,
         timers=timers,
-        n_coarsen_events=events,
+        n_coarsen_events=len(events),
     )
 
 
@@ -255,12 +283,13 @@ def run_spinodal(
     whether or not the mesh changed: from u_n at step 1, from u_n + d_0 at
     step 2 and from the quadratic extrapolation u_n + 2 d_0 - d_1 after
     that, with the increments d_0 = u_n - u_(n-1) and
-    d_1 = u_(n-1) - u_(n-2), on the current mesh. mu and the increments'
-    phi and mu parts cross each adaptation cycle as one block field:
-    interpolated on refinement, injected on coarsening. The start only
-    steers Newton; ``ch_step`` keeps the mass of u_n whatever it is.
-    ``mode`` (default ``config.mode``) names the TransferMode of phi;
-    "both" is not one.
+    d_1 = u_(n-1) - u_(n-2), on the current mesh. The loop state is phi and
+    one block field "carried", the columns [mu, d_0 phi, d_0 mu, d_1 phi,
+    d_1 mu] (k = 1, 3, 5 of them before steps 1, 2, 3): each step rebuilds
+    it, and each adaptation cycle moves it as one field, interpolated on
+    refinement and injected on coarsening. The start only steers Newton;
+    ``ch_step`` keeps the mass of u_n whatever it is. ``mode`` (default
+    ``config.mode``) names the TransferMode of phi; "both" is not one.
     """
     mode = mode or config.mode
     tmode = TransferMode(mode)
@@ -290,75 +319,47 @@ def run_spinodal(
     timers = Timers()
     t_start = time.perf_counter()
 
-    mesh = build_uniform(2, config.interface_level)
-    phi = random_mixture_ic(mesh, p, config.phi0, config.amplitude, config.seed)
+    phi = random_mixture_ic(
+        build_uniform(2, config.interface_level), p, config.phi0, config.amplitude, config.seed
+    )
     mu = chemical_potential_init(phi, problem)
-    energy_fn = lambda f: energy(f, problem)
-
-    diag = Diagnostics()
-    nn = enumerate_nodes(mesh, p)
-    diag.add(0.0, _field_mass(phi), energy_fn(phi), 0.0, mesh.n_leaves, nn.n_dofs)
-    delta_e_events: list[float] = []
-    completed = True
-    failure = ""
+    state = {"phi": phi, "carried": NodalField(phi.mesh, p, mu.values[:, None])}
+    del phi, mu
     newton_iterations = 0
-    increments: list[np.ndarray] = []  # d_0 = u_n - u_(n-1), then d_1, on the current mesh
 
-    n_steps = int(round(problem.t_final / problem.dt))
+    def chemical_potential(state):
+        return NodalField(state["phi"].mesh, p, state["carried"].values[:, 0])
+
+    def advance(state):
+        nonlocal newton_iterations
+        phi, carried, mu = state["phi"], state["carried"].values, chemical_potential(state)
+        u = np.concatenate([phi.values, mu.values])
+        d = [np.concatenate(carried.T[j : j + 2]) for j in range(1, carried.shape[1], 2)]
+        start = u + 2.0 * d[0] - d[1] if len(d) == 2 else (u + d[0] if d else None)
+        phi_new, mu_new, iterations = ch_step(phi, mu, problem, start)
+        newton_iterations += iterations
+        d_0 = [phi_new.values - phi.values, mu_new.values - mu.values]
+        block = np.stack([mu_new.values, *d_0, *carried.T[1:3]], axis=1)  # the old d_0 is d_1
+        return {"phi": phi_new, "carried": NodalField(phi.mesh, p, block)}
+
     snapshots = out_dir if out_dir and config.snapshot_every > 0 else None
     if snapshots:
         os.makedirs(snapshots, exist_ok=True)
-    try:
-        for step in range(1, n_steps + 1):
-            t = step * problem.dt
-            u = np.concatenate([phi.values, mu.values])
-            if len(increments) == 2:
-                start = u + 2.0 * increments[0] - increments[1]
-            else:
-                start = u + increments[0] if increments else None
-            t0 = time.perf_counter()
-            phi, mu, iterations = ch_step(phi, mu, problem, start)
-            timers.pde_solve += time.perf_counter() - t0
-            newton_iterations += iterations
-            increments = [np.concatenate([phi.values, mu.values]) - u] + increments[:1]
-            step_delta_e, step_energy = 0.0, None
-            if step % config.adapt_every == 0:
-                t0 = time.perf_counter()
-                # columns mu, d_0 phi, d_0 mu, d_1 phi, d_1 mu; no TransferMode: injected
-                carried = np.concatenate([mu.values, *increments]).reshape(-1, len(mu.values)).T
-                mesh, fields, stats = adapt_cycle(
-                    {"phi": phi, "carried": NodalField(mesh, p, carried)},
-                    {"phi": tmode},
-                    "phi",
-                    crit,
-                    energy_fn=energy_fn,
-                    project_tol=config.mass_tol,
-                )
-                phi, carried = fields["phi"], np.ascontiguousarray(fields["carried"].values.T)
-                mu = NodalField(mesh, p, carried[0])
-                increments = list(carried[1:].reshape(len(increments), -1))
-                timers.transfer += time.perf_counter() - t0
-                if stats.n_merged:
-                    delta_e_events.append(stats.delta_e)
-                    step_delta_e = stats.delta_e
-                step_energy = stats.energy  # phi's energy, when the cycle computed it
-            if step_energy is None:
-                step_energy = energy_fn(phi)
-            nn = enumerate_nodes(mesh, p)
-            diag.add(t, _field_mass(phi), step_energy, step_delta_e, mesh.n_leaves, nn.n_dofs)
-            if snapshots and step % config.snapshot_every == 0:
-                write_vtk(
-                    os.path.join(snapshots, f"snapshot_{mode}_{step:06d}.vtk"),
-                    mesh,
-                    p,
-                    {"phi": phi, "mu": mu},
-                )
-    except NewtonError as exc:
-        completed = False
-        failure = f"newton failure at t={t:.6g}: {exc} (trace {exc.trace})"
-    except (SolverError, OSError) as exc:  # a PCG breakdown or a failed snapshot write
-        completed = False
-        failure = f"{type(exc).__name__} at t={t:.6g}: {exc}"
+
+    def snapshot(step, state):
+        if snapshots and step % config.snapshot_every == 0:
+            name = os.path.join(snapshots, f"snapshot_{mode}_{step:06d}.vtk")
+            fields = {"phi": state["phi"], "mu": chemical_potential(state)}
+            write_vtk(name, state["phi"].mesh, p, fields)
+
+    energy_fn = lambda f: energy(f, problem)
+    diag, delta_e_events, t, error = _evolve(
+        state, advance, tmode, crit, problem, config, timers, energy_fn, snapshot,
+        stop_on=(SolverError, OSError),  # a Newton failure, a PCG breakdown, a snapshot write
+    )
+    failure = "" if error is None else f"{type(error).__name__} at t={t:.6g}: {error}"
+    if isinstance(error, NewtonError):
+        failure = f"newton failure at t={t:.6g}: {error} (trace {error.trace})"
 
     drift = diag.mass_drift()
     timers.total = time.perf_counter() - t_start
@@ -368,22 +369,10 @@ def run_spinodal(
         max_abs_drift=float(np.max(np.abs(drift))),
         delta_e_events=delta_e_events,
         timers=timers,
-        completed=completed,
+        completed=error is None,
         failure=failure,
         newton_iterations=newton_iterations,
     )
-
-
-def convergence_slope(levels, errors) -> float:
-    """Least-squares slope of log2(error) against refinement level.
-
-    Positive values mean error decays as h^slope with h = 2^-level.
-    """
-    levels = np.asarray(levels, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    # error ~ C * h^s = C * 2^(-level * s): regress log2(err) on -level
-    coeffs = np.polyfit(-levels, np.log2(errors), 1)
-    return float(coeffs[0])
 
 
 def write_summary(path, entries: dict):

@@ -14,6 +14,7 @@ import pytest
 
 import amrfem as a
 from amrfem.config import ExperimentConfig
+from convergence import convergence_slope
 from l2_distance import coarsen_l2_distance
 
 REFERENCE_Q1 = np.array(
@@ -207,8 +208,8 @@ def test_criterion_06_mms_convergence(mms_q1_runs, mms_q2_runs):
     t0 = time.perf_counter()
     q1_err = [mms_q1_runs[l].l2_error for l in (5, 6, 7)]
     q2_err = [mms_q2_runs[l].l2_error for l in (5, 6)]
-    slope1 = a.convergence_slope([5, 6, 7], q1_err)
-    slope2 = a.convergence_slope([5, 6], q2_err)
+    slope1 = convergence_slope([5, 6, 7], q1_err)
+    slope2 = convergence_slope([5, 6], q2_err)
     ok = abs(slope1 - 2.0) <= 0.15 and abs(slope2 - 3.0) <= 0.3
     report(
         6,

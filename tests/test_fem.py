@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -261,8 +262,22 @@ class TestSolveSpd:
         rng = np.random.default_rng(1)
         b = rng.standard_normal((30, 30))
         a = sp.csr_matrix(b.T @ b + np.eye(30))
-        with pytest.raises(SolverError):
-            solve_spd(SparseSystem(a, rng.standard_normal(30), tol=1e-14, max_iter=2))
+        with pytest.raises(SolverError):  # the cap, 20 n + 200 = 800 iterations
+            solve_spd(SparseSystem(a, rng.standard_normal(30), tol=1e-30))
+
+    @pytest.mark.parametrize("tol", [1e-300, 0.0])
+    def test_underflowing_tolerance_reaches_the_cap(self, tol):
+        # r @ z underflows to 0 long before the recursive residual reaches
+        # tol: PCG restarts from b - A x instead of dividing by it, and the
+        # cap reports the true residual, which stays at roundoff (the
+        # recursive one read 3e-73)
+        rng = np.random.default_rng(1)
+        b = rng.standard_normal((30, 30))
+        a = sp.csr_matrix(b.T @ b + np.eye(30))
+        with pytest.raises(SolverError, match=r"in 800 iterations") as info:
+            solve_spd(SparseSystem(a, rng.standard_normal(30), tol=tol))
+        residual = float(re.search(r"relative residual (\S+)\)", str(info.value)).group(1))
+        assert 1e-17 < residual < 1e-13
 
     def test_zero_rhs(self):
         a = sp.identity(4, format="csr")

@@ -6,10 +6,11 @@ import pytest
 from amrfem import adapt, runs
 from amrfem.errors import SolverError
 from amrfem.config import ExperimentConfig
-from amrfem.fem import interpolate_nodal
+from amrfem.fem import NodalField, eval_at_gauss, integrate_gauss, interpolate_nodal
 from amrfem.models import energy
 from amrfem.mesh import build_uniform, execute_refine
-from amrfem.runs import convergence_slope, emit_outputs, run_mms, run_spinodal
+from amrfem.runs import emit_outputs, run_mms, run_spinodal
+from convergence import convergence_slope
 from amrfem.vtkio import write_vtk
 
 
@@ -41,6 +42,47 @@ class TestMmsSmall:
         res = run_mms(cfg, "injection")
         for n in res.diagnostics.n_elements:
             assert 64 <= n <= 256  # levels {3, 4} only
+
+
+class TestMmsSeams:
+    """run_mms reads ``runs.diffusion_step`` at each step, and a transfer error leaves it."""
+
+    cfg = ExperimentConfig(
+        kind="mms", degree=1, level=4, dt=0.02, t_final=0.1, tau=2e-2, mass_tol=1e-13
+    )
+
+    def test_each_step_goes_through_the_module_seam(self, monkeypatch):
+        # the wrapper shifts each new state by 1, so a row taken from anything
+        # but its output would miss the shifted mass
+        outputs, real = [], runs.diffusion_step
+
+        def counting(phi, problem):
+            out = real(phi, problem)
+            outputs.append(NodalField(out.mesh, out.p, out.values + 1.0))
+            return outputs[-1]
+
+        monkeypatch.setattr(runs, "diffusion_step", counting)
+        res = run_mms(self.cfg, "conservative")
+        diag = res.diagnostics
+        assert len(outputs) == round(self.cfg.t_final / self.cfg.dt) == len(diag.times) - 1
+        merged = 0
+        for row, out in enumerate(outputs, start=1):
+            mass = integrate_gauss(eval_at_gauss(out))
+            if diag.n_elements[row] == out.mesh.n_leaves:  # no merge after this step
+                assert diag.masses[row] == mass
+            else:  # conservatively coarsened
+                merged += 1
+                assert diag.masses[row] == pytest.approx(mass, rel=1e-12, abs=0.0)
+        assert merged == res.n_coarsen_events > 0
+
+    def test_transfer_error_propagates(self, monkeypatch):
+        # perfbench counts a raise out of run_mms as failed steps
+        def broken(*args, **kwargs):
+            raise SolverError("injected")
+
+        monkeypatch.setattr(adapt, "transfer_coarsen_conservative", broken)
+        with pytest.raises(SolverError, match="injected"):
+            run_mms(self.cfg, "conservative")
 
 
 class TestDriverMode:
