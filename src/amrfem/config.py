@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields as dc_fields
 __all__ = ["ExperimentConfig", "parse_config", "serialize_config"]
 
 _BOOL = {"true": True, "false": False}
+MAX_LEVEL = 20  # deepest quadtree level: anchors are integers at 2^-MAX_LEVEL
 
 
 @dataclass
@@ -67,6 +68,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown transfer mode {self.mode!r}")
         if self.free_energy not in ("polynomial", "flory_huggins"):
             raise ValueError(f"unknown free energy {self.free_energy!r}")
+        levels = {"mms": ("level",), "spinodal": ("bulk_level", "interface_level")}
+        for name in levels.get(self.kind, ()):
+            if not 0 <= getattr(self, name) <= MAX_LEVEL:
+                raise ValueError(f"{name} must lie in [0, {MAX_LEVEL}], got {getattr(self, name)}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.kind == "mms":
             _check_positive(tau=self.tau, kappa=self.kappa)
             _check_unit(fraction=self.fraction, theta=self.theta)

@@ -5,8 +5,9 @@ matrix T: assembled node-space operators A become T' A T and node-space
 vectors b become T' b, so all global systems act on independent dofs only
 and remain symmetric. Every element integral goes through one rule
 (``_element_rule``) and one of two scatters (``_scatter_vector``,
-``_scatter_matrix``); ``_gauss_rhs`` and ``_gauss_mass`` integrate a
-Gauss-point field against one or two basis functions.
+``_scatter_matrix``), each one ``np.bincount`` that sums every assembled
+entry from zero in element order; ``_gauss_rhs`` and ``_gauss_mass``
+integrate a Gauss-point field against one or two basis functions.
 """
 from __future__ import annotations
 
@@ -71,18 +72,17 @@ class LeafField:
     """A CG field held leaf by leaf: the rows ``NodalField.element_values``
     would return, shape (n_leaves, n_loc[, k]), without a node numbering.
 
-    Rows of leaves that share a node agree up to round-off. Everything that
-    reads a field only through ``element_values`` (Gauss evaluation, energy,
-    marking, coarsening transfers) accepts one; a block of k fields only
-    crosses refinement and injection. ``nodal`` scatters the rows through
-    the mesh's numbering, leaves in ``write_order`` (default: Morton order),
-    so the last leaf written sets each shared node.
+    Rows of leaves that share a node agree up to round-off (Q1 refinement:
+    bit for bit). Everything that reads a field only through
+    ``element_values`` (Gauss evaluation, energy, marking, coarsening
+    transfers) accepts one; a block of k fields only crosses refinement and
+    injection. ``nodal`` scatters the rows in Morton order, so the last
+    leaf that holds a shared node sets it.
     """
 
     mesh: MeshTopology
     p: int
     values: np.ndarray
-    write_order: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -95,12 +95,8 @@ class LeafField:
 
     def nodal(self) -> NodalField:
         nn = enumerate_nodes(self.mesh, self.p)
-        nodes, values = nn.elem_nodes, self.values
-        if self.write_order is not None:
-            nodes = np.take(nodes, self.write_order, axis=0)
-            values = np.take(values, self.write_order, axis=0)
-        node_vals = np.empty((nn.n_nodes,) + values.shape[2:])
-        node_vals[nodes] = values
+        node_vals = np.empty((nn.n_nodes,) + self.values.shape[2:])
+        node_vals[nn.elem_nodes] = self.values
         return NodalField(self.mesh, self.p, node_vals[nn.dof_of_node >= 0])
 
 
@@ -173,14 +169,15 @@ def _scatter_vector(nn: NodeNumbering, elem_vecs: np.ndarray) -> np.ndarray:
 def _scatter_matrix(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
     """Constrained global matrix T' A T from per-leaf matrices (n_leaves, n_loc, n_loc).
 
-    A is summed through the numbering's cached ``summation_map``, bit for bit
-    as a COO-to-CSR sum would, so all operators on a numbering share one sort.
+    A is one bincount through the numbering's cached ``summation_map``, in
+    element order (for Q1 the COO sum, bit for bit), so all operators on a
+    numbering share one sort.
     T'(AT) is two CSR products with the cached T' (``constraint_transpose``,
     sorted columns): each entry sums its terms in ascending node order, as
     SciPy's CSC product of ``T.T`` does, without its CSC temporaries.
     """
-    sums, indptr, indices = nn.summation_map
-    data = sums @ elem_mats.ravel()
+    slot, indptr, indices = nn.summation_map
+    data = np.bincount(slot, weights=elem_mats.ravel(), minlength=len(indices))
     shape = (nn.n_nodes, nn.n_nodes)
     if nn.n_dofs == nn.n_nodes:  # T = I, and T'AT is A without its exact zeros
         a = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)

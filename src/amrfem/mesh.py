@@ -28,6 +28,7 @@ from operator import or_
 import numpy as np
 import scipy.sparse as sp
 
+from .config import MAX_LEVEL
 from .errors import MeshStateError
 from .quadrature import child_lattice_values, lattice
 
@@ -44,7 +45,6 @@ __all__ = [
     "enumerate_nodes",
 ]
 
-MAX_LEVEL = 20
 _DOMAIN = 1 << MAX_LEVEL  # lattice extent of [0, 1] per axis
 
 
@@ -411,8 +411,9 @@ class NodeNumbering:
     ``("mass_c",)`` and ``("stiff_c",)``, the diffusion step's operators
     under ``("diffusion_ops", dt, theta, kappa)`` and the Cahn-Hilliard LU
     factor under ``("ch_lu", dt, mobility, eps2)``: the first item names
-    the kind) and the derived properties
-    ``summation_map``, ``constraint_transpose`` and ``dissection_order``.
+    the kind) and the derived properties ``summation_map`` (one int32 slot
+    per element entry: every matrix on the numbering sums through it in
+    element order), ``constraint_transpose`` and ``dissection_order``.
     All are rebuilt on first use, so ``release_operators`` may free them at
     any time; the keys, coordinates, ``elem_nodes``, ``dof_of_node`` and T,
     which transfers read, are never released.
@@ -448,17 +449,18 @@ class NodeNumbering:
         return tt
 
     @cached_property
-    def summation_map(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """(S, indptr, indices): A = sum_e A_e over all geometric nodes is the
-        CSR matrix (S @ elem_mats.ravel(), indices, indptr).
+    def summation_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(slot, indptr, indices): A = sum_e A_e over all geometric nodes is the
+        CSR matrix (np.bincount(slot, elem_mats.ravel(), nnz), indices, indptr).
 
-        Row k of S holds ones at the element entries, (leaf, a, b) raveled,
-        that sum into A.data[k], in the order ``coo_matrix.tocsr()`` sums
-        them. SciPy itself gives that order: its COO-to-CSR conversion and
-        per-row index sort run once on entry numbers instead of values (the
-        sort is unstable, so no numpy sort reproduces it for p = 2). S's
-        matvec then adds the terms one by one, so A is bit-identical to
-        the COO sum and each numbering sorts its element entries once.
+        ``slot`` is one int32 per element entry, (leaf, a, b) raveled: the
+        entry of A it adds into. The bincount sums each entry of A from zero
+        in element order, for every degree. For Q1 that is the order of
+        ``coo_matrix.tocsr()``: a row holds at most 16 terms (four leaves
+        times four nodes), which libstdc++'s ``std::sort`` orders by its
+        stable insertion sort, so A is bit-identical to the COO sum. SciPy's
+        COO-to-CSR conversion and index sort run once per numbering, on
+        entry numbers, only to give A's pattern and each entry's segment.
         """
         elem = self.elem_nodes.astype(np.int32)
         n_loc = elem.shape[1]
@@ -478,13 +480,11 @@ class NodeNumbering:
         # previous row's last column: the pattern is symmetric with a full diagonal.
         first = np.ones(n_entries, dtype=bool)
         np.not_equal(terms.indices[1:], terms.indices[:-1], out=first[1:])
-        starts = np.flatnonzero(first).astype(np.int32)
-        sums = sp.csr_matrix(
-            (np.ones(n_entries), terms.data, np.append(starts, np.int32(n_entries))),
-            shape=(len(starts), n_entries),
-        )
+        slot = np.empty(n_entries, dtype=np.int32)
+        slot[terms.data] = np.cumsum(first, dtype=np.int32) - 1
+        starts = np.flatnonzero(first)
         indptr = np.searchsorted(starts, terms.indptr).astype(np.int32)
-        return sums, indptr, np.take(terms.indices, starts)
+        return slot, indptr, np.take(terms.indices, starts)
 
     @cached_property
     def dissection_order(self) -> np.ndarray:

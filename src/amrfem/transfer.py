@@ -57,28 +57,24 @@ def _child_interp(dim: int, p: int, child: int) -> np.ndarray:
 def refine_leaf_field(field: NodalField, record: RefineRecord) -> LeafField:
     """Parent-to-child transfer, leaf by leaf, onto the refined mesh.
 
-    Unchanged leaves copy their rows of element values; a child takes its
-    parent's row times the parent basis at its nodes. The refined mesh is
-    checked for 2:1 balance but not numbered. The rows are written to the
-    nodes, if at all, unchanged leaves first, then children by child index.
+    Each leaf's row starts as its source leaf's row of element values; a
+    child then takes that parent row times the parent basis at its nodes.
+    The refined mesh is checked for 2:1 balance but not numbered.
     """
     if field.mesh is not record.mesh_old:
         raise ValueError("field does not live on the record's source mesh")
     mesh = record.mesh_new
     if not mesh.is_balanced():
         raise MeshStateError(f"refinement left no 2:1 balanced tiling: {mesh.defect}")
-    # np.take: row gathers of (n, n_loc) arrays by fancy indexing are several
-    # times slower
-    groups = [np.flatnonzero(record.child_id == cid) for cid in range(-1, 2**mesh.dim)]
     old = field.element_values()
-    # (k, n_leaves, n_loc): one product per column, so BLAS picks a single field's kernel
-    columns = np.moveaxis(np.atleast_3d(old), 2, 0)
-    blocks = [np.take(columns, record.source_leaf[g], axis=1) for g in groups]
-    blocks[1:] = [b @ _child_interp(mesh.dim, field.p, c).T for c, b in enumerate(blocks[1:])]
-    order = np.concatenate(groups)
-    rows = np.empty((mesh.n_leaves,) + old.shape[1:])
-    np.moveaxis(np.atleast_3d(rows), 2, 0)[:, order] = np.concatenate(blocks, axis=1)
-    return LeafField(mesh, field.p, rows, write_order=order)
+    # (k, n_leaves, n_loc): one product per column, so BLAS picks a single field's
+    # kernel; np.take, as fancy-indexed row gathers are several times slower
+    columns = np.take(np.moveaxis(np.atleast_3d(old), 2, 0), record.source_leaf, axis=1)
+    for c in range(2**mesh.dim):
+        g = np.flatnonzero(record.child_id == c)
+        columns[:, g] = np.take(columns, g, axis=1) @ _child_interp(mesh.dim, field.p, c).T
+    rows = np.ascontiguousarray(np.moveaxis(columns, 0, -1))
+    return LeafField(mesh, field.p, rows.reshape((mesh.n_leaves,) + old.shape[1:]))
 
 
 def _coarsen_rows(rows: np.ndarray, record: CoarsenRecord, matrix: np.ndarray) -> np.ndarray:

@@ -7,10 +7,14 @@ vector of ``fem``, and the f'(phi) vector and f''(phi) matrix of the
 Cahn-Hilliard Newton system; the f''(phi) element matrices are one matmul
 with the basis-product table, as in ``fem._gauss_mass``, and
 ``gauss_mass_einsum`` keeps the three-operand einsum that table replaced.
-``scatter_matrix_reference`` is the COO sum
-and T' A T product that ``fem._scatter_matrix`` replaces with a cached
-summation map. ``tests/test_fem.py`` requires the kernels to reproduce them
-bit for bit.
+``element_order_sum`` adds each assembled entry's element terms from zero
+in element order with ``np.add.at``, into a pattern found by ``np.unique``:
+the order ``fem._scatter_matrix`` promises, independent of SciPy's sort and
+of its bincount. ``element_sum_reference`` is SciPy's COO sum, which agrees
+with it bit for bit for Q1 only (``std::sort`` of a row of at most 16 terms
+is a stable insertion sort; Q2 rows are longer and its ties fall otherwise),
+and ``scatter_matrix_reference`` folds either through T' A T.
+``tests/test_fem.py`` requires the kernels to reproduce them bit for bit.
 """
 from __future__ import annotations
 
@@ -30,25 +34,36 @@ def _node_operator(mesh: MeshTopology, nn: NodeNumbering, kind: str) -> sp.csr_m
         ref = mass_ref
     else:  # gradient factor (2/h)^2 times the volume Jacobian
         scale, ref = scale * (2.0 / h) ** 2, stiff_ref
-    n_loc = ref.shape[0]
+    return element_order_sum(nn, scale[:, None, None] * ref[None, :, :])
+
+
+def _entry_nodes(nn: NodeNumbering, n_loc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column node of every element entry, (leaf, a, b) raveled."""
     rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
     cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
-    data = (scale[:, None, None] * ref[None, :, :]).ravel()
-    return sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
+    return rows, cols
+
+
+def element_order_sum(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
+    """A = sum_e A_e, each entry summed from zero in element order (``np.add.at``)."""
+    rows, cols = _entry_nodes(nn, elem_mats.shape[1])
+    pattern, slot = np.unique(rows * nn.n_nodes + cols, return_inverse=True)
+    data = np.zeros(len(pattern))
+    np.add.at(data, slot, elem_mats.ravel())
+    indptr = np.searchsorted(pattern // nn.n_nodes, np.arange(nn.n_nodes + 1))
+    return sp.csr_matrix((data, pattern % nn.n_nodes, indptr), shape=(nn.n_nodes, nn.n_nodes))
 
 
 def element_sum_reference(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
     """A = sum_e A_e over all geometric nodes, by a fresh COO-to-CSR sum."""
-    n_loc = elem_mats.shape[1]
-    rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
-    cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
+    rows, cols = _entry_nodes(nn, elem_mats.shape[1])
     return sp.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
 
 
-def scatter_matrix_reference(nn: NodeNumbering, elem_mats: np.ndarray) -> sp.csr_matrix:
-    """T' A T from per-leaf matrices, with both products even when T = I."""
+def scatter_matrix_reference(nn: NodeNumbering, elem_mats: np.ndarray, element_sum) -> sp.csr_matrix:
+    """T' A T from per-leaf matrices, A by ``element_sum``, with both products even when T = I."""
     t = nn.constraint_matrix
-    return (t.T @ (element_sum_reference(nn, elem_mats) @ t)).tocsr()
+    return (t.T @ (element_sum(nn, elem_mats) @ t)).tocsr()
 
 
 def assembled_reference(mesh: MeshTopology, p: int, kind: str) -> sp.csr_matrix:
@@ -90,10 +105,7 @@ def _nonlinear_jacobian(mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe) ->
     wf = fe.d2f(gauss) * w[None, :] * jac[:, None]  # (n_e, n_q)
     n_loc = b.shape[0]
     table = (b[:, None, :] * b[None, :, :]).reshape(n_loc * n_loc, -1).T  # N_a N_b at q
-    data = (wf @ table).ravel()
-    rows = np.repeat(nn.elem_nodes, n_loc, axis=1).ravel()
-    cols = np.tile(nn.elem_nodes, (1, n_loc)).ravel()
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(nn.n_nodes, nn.n_nodes)).tocsr()
+    mat = element_order_sum(nn, (wf @ table).reshape(len(wf), n_loc, n_loc))
     t = nn.constraint_matrix
     return (t.T @ (mat @ t)).tocsr()
 

@@ -303,6 +303,10 @@ class TestCli:
             ("spinodal", "[experiment]\nkind = spinodal\n\n[physics]\neps2 = 0\n", "eps2"),
             ("spinodal", "[experiment]\nkind = spinodal\n\n[physics]\nmobility = -1\n", "mobility"),
             ("mms", "[experiment]\nkind = mms\n\n[time]\ndt = soon\n", "dt"),
+            ("mms", "[experiment]\nkind = mms\n\n[mesh]\nlevel = -1\n", "level"),
+            ("mms", "[experiment]\nkind = mms\n\n[mesh]\nlevel = 21\n", "level"),
+            ("spinodal", "[experiment]\nkind = spinodal\nseed = -1\n", "seed"),
+            ("spinodal", "[experiment]\nkind = spinodal\n\n[mesh]\nbulk_level = -2\n", "bulk_level"),
             ("mms", "kind = mms\n", "section header"),
             ("mms", None, "missing.cfg"),
         ],

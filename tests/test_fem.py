@@ -440,8 +440,10 @@ def _structure(m):
 @pytest.mark.parametrize("case", ["uniform-l6", "coarsened-l7", "interface-l4-l8"])
 def test_scatter_matrix_matches_coo_reference_at_benchmark_scale(case, p):
     # the summation map, the skipped T'AT on conforming meshes and the CSR
-    # product with the cached T' give the COO sum and both scipy products
-    # bit for bit at benchmark sizes
+    # product with the cached T' give the element-order sum and both scipy
+    # products bit for bit at benchmark sizes; for Q1 that sum is SciPy's
+    # own COO sum (rows of at most 16 terms sort stably), for Q2 the
+    # np.add.at oracle, since SciPy's sort orders longer rows' ties otherwise
     mesh = {
         "uniform-l6": lambda: build_uniform(2, 6),
         "coarsened-l7": _coarsened_level7,
@@ -455,7 +457,8 @@ def test_scatter_matrix_matches_coo_reference_at_benchmark_scale(case, p):
     # the normals make a wrong order of summation visible in the last bit
     ints = rng.choice([-8.0, -6.0, -3.0, -1.0, 1.0, 3.0, 6.0, 8.0], shape)
     elem_mats = np.where(rng.random(shape) < 0.3, rng.standard_normal(shape), ints)
-    want = ref.scatter_matrix_reference(nn, elem_mats)
+    element_sum = ref.element_sum_reference if p == 1 else ref.element_order_sum
+    want = ref.scatter_matrix_reference(nn, elem_mats, element_sum)
     _assert_same_csr(_scatter_matrix(nn, elem_mats), want)
 
     # scipy prunes exact zeros of A, and cancellations of its own in AT and T'AT
@@ -467,6 +470,21 @@ def test_scatter_matrix_matches_coo_reference_at_benchmark_scale(case, p):
         at = a @ t
         assert (_structure(a) @ abs(t)).nnz > at.nnz
         assert (abs(t).T @ _structure(at)).nnz > want.nnz
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_summation_map_holds_one_int32_per_element_entry(p):
+    # the map is one int32 slot per (leaf, a, b) entry, next to A's own
+    # pattern: 1.00 MiB on a uniform level-7 Q1 mesh
+    mesh = build_uniform(2, 7) if p == 1 else refined_mesh(2, (0, 5))
+    nn = enumerate_nodes(mesh, p)
+    slot, indptr, indices = nn.summation_map
+    n_entries = mesh.n_leaves * (p + 1) ** 4
+    assert slot.dtype == np.int32 and slot.shape == (n_entries,)
+    assert indptr.dtype == indices.dtype == np.int32 and indptr[-1] == len(indices)
+    assert np.array_equal(np.unique(slot), np.arange(len(indices)))  # each entry of A is a sum
+    if p == 1:
+        assert slot.nbytes == 2**20
 
 
 def test_one_summation_map_per_numbering(monkeypatch):

@@ -137,6 +137,26 @@ def same_bits(a: NodalField, b: NodalField) -> bool:
     return a.mesh is b.mesh and a.values.tobytes() == b.values.tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_q1_refined_nodal_is_independent_of_write_order(dim):
+    # every Q1 row that holds a node after a refinement gives it the same
+    # bits, so LeafField.nodal() may scatter in Morton order: reversed and
+    # shuffled writes return the same bytes
+    rng = np.random.default_rng(600 + dim)
+    for _ in range(5):
+        mesh = adapted_mesh(dim, rng)
+        f = random_field(mesh, 1, rng)
+        _, rec = refine(mesh, rng.choice(mesh.n_leaves, size=mesh.n_leaves // 3, replace=False))
+        leaf = refine_leaf_field(f, rec)
+        nn = enumerate_nodes(rec.mesh_new, 1)
+        want = leaf.nodal().values.tobytes()
+        n = rec.mesh_new.n_leaves
+        for order in (np.arange(n)[::-1], rng.permutation(n)):
+            node_vals = np.empty(nn.n_nodes)
+            node_vals[nn.elem_nodes[order]] = leaf.values[order]
+            assert node_vals[nn.dof_of_node >= 0].tobytes() == want
+
+
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("dim", [1, 2])
 class TestLeafLocalTransfer:

@@ -1,8 +1,8 @@
 """Node-numbering implementations of refinement and injection, kept as an oracle.
 
 These number both meshes of a transfer: ``transfer_refine`` scatters the
-interpolated child rows onto the refined mesh's nodes (unchanged leaves
-first, then children by child index, the last write winning), and
+interpolated child rows onto the refined mesh's nodes (leaves in Morton
+order, the last write winning), and
 ``transfer_coarsen_injection`` finds every independent coarse node among the
 fine mesh's sorted node keys. ``amrfem.transfer`` replaced them with
 leaf-local versions that number only the mesh they return
@@ -33,7 +33,7 @@ def transfer_refine(field: NodalField, record: RefineRecord) -> NodalField:
         return NodalField(field.mesh, field.p, field.values.copy())
     old_elem_vals = field.element_values()
     nn_new = enumerate_nodes(record.mesh_new, field.p)
-    node_vals = np.zeros(nn_new.n_nodes)
+    new_elem_vals = np.zeros(nn_new.elem_nodes.shape)
     for cid in (-1, *range(2**field.mesh.dim)):
         rows = np.nonzero(record.child_id == cid)[0]
         if len(rows) == 0:
@@ -41,7 +41,9 @@ def transfer_refine(field: NodalField, record: RefineRecord) -> NodalField:
         vals = old_elem_vals[record.source_leaf[rows]]
         if cid >= 0:
             vals = vals @ _child_interp(field.mesh.dim, field.p, cid).T
-        node_vals[nn_new.elem_nodes[rows]] = vals
+        new_elem_vals[rows] = vals
+    node_vals = np.zeros(nn_new.n_nodes)
+    node_vals[nn_new.elem_nodes] = new_elem_vals
     return NodalField(record.mesh_new, field.p, node_vals[nn_new.dof_of_node >= 0])
 
 
