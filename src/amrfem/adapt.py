@@ -37,7 +37,7 @@ def element_gradient_norms(field: NodalField) -> np.ndarray:
     eta_e = sqrt(sum_q w_q |J| |grad phi(x_q)|^2), one value per leaf.
     """
     grads = eval_grad_at_gauss(field)
-    w, jac = _element_rule(field.mesh, field.p, field.p + 1)
+    w, jac = _element_rule(field.mesh, field.p)
     sq = _square_sum(grads) @ w
     return np.sqrt(np.maximum(sq * jac, 0.0))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
 from dataclasses import dataclass, fields as dc_fields
 
@@ -15,6 +16,11 @@ __all__ = ["ExperimentConfig", "parse_config", "serialize_config"]
 
 _BOOL = {"true": True, "false": False}
 MAX_LEVEL = 20  # deepest quadtree level: anchors are integers at 2^-MAX_LEVEL
+_KIND_FLOATS = {  # float fields that one kind reads; every kind reads the others
+    "mms": ("theta", "tau", "fraction", "kappa", "mms_amplitude"),
+    "spinodal": ("band_lo", "band_hi", "eps2", "mobility", "fh_a", "fh_chi", "fh_beta", "phi0",
+                 "amplitude"),
+}
 
 
 @dataclass
@@ -82,6 +88,8 @@ class ExperimentConfig:
                 raise ValueError("bulk_level must be below interface_level")
             _check_band(self.band_lo, self.band_hi, self.band_closed)
             _check_positive(eps2=self.eps2, mobility=self.mobility)
+            if not self.amplitude >= 0:
+                raise ValueError(f"amplitude must be non-negative, got {self.amplitude!r}")
         if self.adapt_every < 1:
             raise ValueError("adapt_every must be >= 1")
         _check_positive(
@@ -90,6 +98,10 @@ class ExperimentConfig:
         for name, low in (("newton_max_iter", 1), ("snapshot_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        unread = {name for kind, names in _KIND_FLOATS.items() if kind != self.kind for name in names}
+        for name in (f.name for f in dc_fields(self) if f.type == "float" and f.name not in unread):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         return self
 
 

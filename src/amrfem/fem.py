@@ -102,17 +102,16 @@ class LeafField:
 
 @dataclass
 class GaussField:
-    """Per-leaf quadrature-point values; leaves in Morton order, points
-    lexicographic within each leaf."""
+    """Per-leaf values at the p + 1 Gauss lattice, the rule of the mass
+    matrix; leaves in Morton order, points lexicographic within each leaf."""
 
     mesh: MeshTopology
     p: int
-    n_q: int
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expected = (self.mesh.n_leaves, self.n_q**self.mesh.dim)
+        expected = (self.mesh.n_leaves, (self.p + 1) ** self.mesh.dim)
         if self.values.shape != expected:
             raise ValueError(f"gauss block shape {self.values.shape} != {expected}")
 
@@ -128,7 +127,7 @@ class SparseSystem:
 
 @lru_cache(maxsize=None)
 def _tables(dim: int, p: int, n_q: int):
-    """Reference-element tensor tables for (dim, p, n_q).
+    """Reference-element tensor tables for (dim, p) on the n_q-point rule.
 
     B[a, q] are basis values at the Gauss lattice, G[d][a, q] the reference
     derivatives along axis d, w the tensor weights. Each is the
@@ -149,14 +148,14 @@ def _tables(dim: int, p: int, n_q: int):
     return b, grads, w, mass_ref, stiff_ref, rule
 
 
-def _element_rule(mesh: MeshTopology, p: int, n_q: int):
-    """Tensor Gauss weights w_q and each leaf's volume Jacobian (0.5 h)^dim.
+def _element_rule(mesh: MeshTopology, p: int):
+    """Weights w_q of the p + 1 Gauss rule and each leaf's volume Jacobian (0.5 h)^dim.
 
     Every element integral in the package is sum_e |J_e| sum_q w_q (...).
-    The L2 projection conserves the integral only because its load vector
-    and its mass matrix both use this one rule.
+    The L2 projection conserves the integral because its load vector and
+    its mass matrix both use this rule, the only one a ``GaussField`` holds.
     """
-    w = _tables(mesh.dim, p, n_q)[2]
+    w = _tables(mesh.dim, p, p + 1)[2]
     return w, (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
 
 
@@ -198,7 +197,7 @@ def _assembled(mesh: MeshTopology, p: int, kind: str) -> sp.csr_matrix:
     mat = nn.cache.get(key)
     if mat is None:
         _, _, _, mass_ref, stiff_ref, _ = _tables(mesh.dim, p, p + 1)
-        _, scale = _element_rule(mesh, p, p + 1)
+        _, scale = _element_rule(mesh, p)
         if kind == "mass":
             ref = mass_ref
         else:  # gradient factor (2/h)^2 times the volume Jacobian
@@ -218,11 +217,10 @@ def assemble_stiffness(mesh: MeshTopology, p: int) -> sp.csr_matrix:
     return _assembled(mesh, p, "stiff")
 
 
-def eval_at_gauss(field: NodalField | LeafField, n_q: int | None = None) -> GaussField:
-    """Interpolate a field's element values to the per-leaf Gauss lattice."""
-    n_q = field.p + 1 if n_q is None else n_q
-    b = _tables(field.mesh.dim, field.p, n_q)[0]
-    return GaussField(field.mesh, field.p, n_q, field.element_values() @ b)
+def eval_at_gauss(field: NodalField | LeafField) -> GaussField:
+    """Interpolate a field's element values to the per-leaf p + 1 Gauss lattice."""
+    b = _tables(field.mesh.dim, field.p, field.p + 1)[0]
+    return GaussField(field.mesh, field.p, field.element_values() @ b)
 
 
 def eval_grad_at_gauss(field: NodalField | LeafField) -> np.ndarray:
@@ -260,14 +258,14 @@ def integrate_gauss(gf: GaussField) -> float:
     """Domain integral: sum of weight * Jacobian * value over all leaves.
 
     A pairwise sum, not the BLAS dot, whose bits follow the thread count."""
-    w, jac = _element_rule(gf.mesh, gf.p, gf.n_q)
+    w, jac = _element_rule(gf.mesh, gf.p)
     return float(np.add.reduce(jac * (gf.values @ w)))
 
 
 def _gauss_rhs(gf: GaussField) -> np.ndarray:
     """Constrained load vector b_a = sum_q w_q |J| g_q N_a(x_q)."""
-    b = _tables(gf.mesh.dim, gf.p, gf.n_q)[0]
-    w, jac = _element_rule(gf.mesh, gf.p, gf.n_q)
+    b = _tables(gf.mesh.dim, gf.p, gf.p + 1)[0]
+    w, jac = _element_rule(gf.mesh, gf.p)
     contrib = (gf.values * w[None, :]) @ b.T * jac[:, None]
     return _scatter_vector(enumerate_nodes(gf.mesh, gf.p), contrib)
 
@@ -280,34 +278,19 @@ def _gauss_mass(gf: GaussField) -> sp.csr_matrix:
     on a uniform level-6 Q1 mesh, against 1.3 ms for the equivalent einsum
     "eq,aq,bq->eab", which it matches to about 2e-16 relative.
     """
-    b = _tables(gf.mesh.dim, gf.p, gf.n_q)[0]
+    b = _tables(gf.mesh.dim, gf.p, gf.p + 1)[0]
     n_loc = b.shape[0]
     table = (b[:, None, :] * b[None, :, :]).reshape(n_loc * n_loc, -1).T
-    w, jac = _element_rule(gf.mesh, gf.p, gf.n_q)
+    w, jac = _element_rule(gf.mesh, gf.p)
     wc = gf.values * w[None, :] * jac[:, None]
     elem_mats = (wc @ table).reshape(len(wc), n_loc, n_loc)
     return _scatter_matrix(enumerate_nodes(gf.mesh, gf.p), elem_mats)
 
 
-def _check_element_rule(gf: GaussField) -> None:
-    """Reject Gauss data off the p + 1 rule, the one the mass matrix uses.
-
-    The L2 projection conserves the integral only when its load vector and
-    its mass matrix share a rule (``_element_rule``).
-    """
-    if gf.n_q != gf.p + 1:
-        raise ValueError(
-            f"gauss field has n_q = {gf.n_q} points per axis; p = {gf.p} needs n_q = p + 1"
-        )
-
-
 def project_l2(gf: GaussField, tol: float = 1e-12) -> NodalField:
-    """Recover nodal coefficients from Gauss-point data by a mass solve.
-
-    ``gf`` must be on the p + 1 rule of the mass matrix, which is what makes
-    the projection conservative up to solver residual.
-    """
-    _check_element_rule(gf)
+    """Recover nodal coefficients from Gauss-point data by a mass solve on
+    their p + 1 rule, which makes the projection conservative up to solver
+    residual."""
     mass = assemble_mass(gf.mesh, gf.p)
     rhs = _gauss_rhs(gf)
     sol = solve_spd(SparseSystem(mass, rhs, tol=tol))
@@ -325,12 +308,15 @@ def solve_spd(system: SparseSystem, x0: np.ndarray | None = None) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Terminates when ||b - A x|| <= tol * ||b||; raises SolverError on
-    indefiniteness or after 20 n + 200 iterations. Deterministic.
+    indefiniteness, after 20 n + 200 iterations, or before the first one if
+    ||b|| (overflow included) or x0 is not finite. Deterministic.
     """
     a = system.matrix
     b = np.asarray(system.rhs, dtype=float)
     n = len(b)
     bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm) or (x0 is not None and not np.all(np.isfinite(x0))):
+        raise SolverError(f"right-hand side (||b|| = {bnorm}) or x0 is not finite")
     if bnorm == 0.0:
         return np.zeros(n)
     diag = a.diagonal()

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MeshStateError
-from .fem import GaussField, LeafField, NodalField, _check_element_rule, eval_at_gauss, project_l2
+from .fem import GaussField, LeafField, NodalField, eval_at_gauss, project_l2
 from .mesh import CoarsenRecord, RefineRecord
 from .quadrature import child_lattice_values, lattice, tensor_kron
 from .restriction import apply_restriction, injection_matrix, restriction_matrix
@@ -110,10 +110,9 @@ def transfer_coarsen_injection(
 
 def restrict_gauss_field(gf: GaussField, record: CoarsenRecord) -> GaussField:
     """Gauss-point stage of conservative coarsening: ``restriction_matrix`` per
-    family; ``gf`` must be on the p + 1 rule."""
+    family, on the p + 1 rule that every ``GaussField`` holds."""
     if gf.mesh is not record.mesh_old:
         raise ValueError("gauss field does not live on the record's source mesh")
-    _check_element_rule(gf)
     rows = _coarsen_rows(gf.values, record, restriction_matrix(gf.p))
     return replace(gf, mesh=record.mesh_new, values=rows)
 

@@ -15,14 +15,21 @@ with it bit for bit for Q1 only (``std::sort`` of a row of at most 16 terms
 is a stable insertion sort; Q2 rows are longer and its ties fall otherwise),
 and ``scatter_matrix_reference`` folds either through T' A T.
 ``tests/test_fem.py`` requires the kernels to reproduce them bit for bit.
+
+``l2_error_vs_exact`` keeps the general-rule path the MMS L2 error took
+while ``GaussField`` carried its own rule: Gauss values on n_q points per
+axis, then the weighted sum of ``fem.integrate_gauss``, at n_q = p + 3.
+``tests/test_runs.py`` requires ``runs._l2_error_vs_exact`` to reproduce it
+bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from amrfem.fem import GaussField, _tables
+from amrfem.fem import GaussField, NodalField, _tables, gauss_point_coords
 from amrfem.mesh import MeshTopology, NodeNumbering, enumerate_nodes
+from amrfem.models import DiffusionProblem, mms_exact
 
 
 def _node_operator(mesh: MeshTopology, nn: NodeNumbering, kind: str) -> sp.csr_matrix:
@@ -76,7 +83,7 @@ def assembled_reference(mesh: MeshTopology, p: int, kind: str) -> sp.csr_matrix:
 def _gauss_rhs(gf: GaussField) -> np.ndarray:
     """Constrained load vector b_a = sum_q w_q |J| g_q N_a(x_q)."""
     nn = enumerate_nodes(gf.mesh, gf.p)
-    b, _, w, _, _, _ = _tables(gf.mesh.dim, gf.p, gf.n_q)
+    b, _, w, _, _, _ = _tables(gf.mesh.dim, gf.p, gf.p + 1)
     jac = (0.5 * gf.mesh.leaf_sizes_physical) ** gf.mesh.dim
     contrib = (gf.values * w[None, :]) @ b.T * jac[:, None]
     rhs = np.bincount(nn.elem_nodes.ravel(), weights=contrib.ravel(), minlength=nn.n_nodes)
@@ -112,6 +119,28 @@ def _nonlinear_jacobian(mesh: MeshTopology, p: int, phi_vals: np.ndarray, fe) ->
 
 def gauss_mass_einsum(gf: GaussField) -> np.ndarray:
     """Element matrices sum_q w_q |J| c_q N_a(x_q) N_b(x_q), by einsum."""
-    b, _, w, _, _, _ = _tables(gf.mesh.dim, gf.p, gf.n_q)
+    b, _, w, _, _, _ = _tables(gf.mesh.dim, gf.p, gf.p + 1)
     jac = (0.5 * gf.mesh.leaf_sizes_physical) ** gf.mesh.dim
     return np.einsum("eq,aq,bq->eab", gf.values * w[None, :] * jac[:, None], b, b)
+
+
+def _gauss_values(field: NodalField, n_q: int) -> np.ndarray:
+    """Element values at the n_q-point Gauss lattice: the old ``eval_at_gauss(field, n_q)``."""
+    b = _tables(field.mesh.dim, field.p, n_q)[0]
+    return field.element_values() @ b
+
+
+def _integrate(mesh: MeshTopology, p: int, n_q: int, values: np.ndarray) -> float:
+    """Weighted pairwise sum on the n_q-point rule: the old ``integrate_gauss``."""
+    w = _tables(mesh.dim, p, n_q)[2]
+    jac = (0.5 * mesh.leaf_sizes_physical) ** mesh.dim
+    return float(np.add.reduce(jac * (values @ w)))
+
+
+def l2_error_vs_exact(field: NodalField, problem: DiffusionProblem, t: float) -> float:
+    """L2 error against the manufactured solution on the p + 3 rule."""
+    n_q = field.p + 3
+    values = _gauss_values(field, n_q)
+    pts = gauss_point_coords(field.mesh, n_q)
+    exact = mms_exact(pts[:, :, 0], pts[:, :, 1], t, problem)
+    return float(np.sqrt(_integrate(field.mesh, field.p, n_q, (values - exact) ** 2)))

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import hashlib
 import os
@@ -11,6 +12,28 @@ from amrfem.adapt import MmsCriterion
 from amrfem.config import ExperimentConfig, parse_config, serialize_config
 from amrfem.models import CahnHilliardProblem, DiffusionProblem
 from amrfem.runs import emit_outputs, run_demo1d
+
+# the kind that reads each float field of ExperimentConfig; None: every kind
+FLOAT_READERS = {
+    "dt": None,
+    "t_final": None,
+    "mass_tol": None,
+    "newton_tol": None,
+    "theta": "mms",
+    "tau": "mms",
+    "fraction": "mms",
+    "kappa": "mms",
+    "mms_amplitude": "mms",
+    "band_lo": "spinodal",
+    "band_hi": "spinodal",
+    "eps2": "spinodal",
+    "mobility": "spinodal",
+    "fh_a": "spinodal",
+    "fh_chi": "spinodal",
+    "fh_beta": "spinodal",
+    "phi0": "spinodal",
+    "amplitude": "spinodal",
+}
 
 
 class TestConfig:
@@ -71,6 +94,7 @@ class TestConfig:
             ("mms", "theta", float("nan")),
             ("spinodal", "eps2", 0.0),
             ("spinodal", "mobility", -1.0),
+            ("spinodal", "amplitude", -0.1),
         ],
     )
     def test_physics_checked_for_the_kind_that_reads_it(self, kind, field, value):
@@ -80,6 +104,22 @@ class TestConfig:
             cfg.validate()
         cfg.kind = "spinodal" if kind == "mms" else "mms"
         cfg.validate()
+
+    def test_every_float_field_has_a_reader(self):
+        floats = {f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"}
+        assert floats == set(FLOAT_READERS)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", sorted(FLOAT_READERS))
+    def test_non_finite_floats_rejected_for_the_kinds_that_read_them(self, field, value):
+        for kind in ("demo1d", "mms", "spinodal"):
+            cfg = ExperimentConfig(kind=kind)
+            setattr(cfg, field, value)
+            if FLOAT_READERS[field] in (None, kind):
+                with pytest.raises(ValueError, match=rf"\b{field}\b"):
+                    cfg.validate()
+            else:
+                cfg.validate()
 
     @pytest.mark.parametrize(
         "make, field",
@@ -176,6 +216,13 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "amrfem", *args], capture_output=True, text=True
     )
+
+
+# a spinodal run of two steps on levels 2 to 3: a field it lets through runs fast
+SMALL_SPINODAL = (
+    "[experiment]\nkind = spinodal\n\n[mesh]\nbulk_level = 2\ninterface_level = 3\n\n"
+    "[time]\ndt = 5e-4\nt_final = 0.001\n\n"
+)
 
 
 class TestCli:
@@ -307,6 +354,11 @@ class TestCli:
             ("mms", "[experiment]\nkind = mms\n\n[mesh]\nlevel = 21\n", "level"),
             ("spinodal", "[experiment]\nkind = spinodal\nseed = -1\n", "seed"),
             ("spinodal", "[experiment]\nkind = spinodal\n\n[mesh]\nbulk_level = -2\n", "bulk_level"),
+            ("spinodal", f"{SMALL_SPINODAL}[physics]\namplitude = -0.1\n", "amplitude"),
+            ("spinodal", f"{SMALL_SPINODAL}[physics]\nphi0 = nan\n", "phi0"),
+            ("spinodal", f"{SMALL_SPINODAL}[physics]\nfh_chi = inf\n", "fh_chi"),
+            ("mms", "[experiment]\nkind = mms\n\n[physics]\nmms_amplitude = nan\n", "mms_amplitude"),
+            ("mms", "[experiment]\nkind = mms\n\n[time]\nt_final = inf\n", "t_final"),
             ("mms", "kind = mms\n", "section header"),
             ("mms", None, "missing.cfg"),
         ],

@@ -193,7 +193,7 @@ class TestProjectL2:
         mesh = refined_mesh(2, (0, 5, 9))
         rng = np.random.default_rng(5)
         nn = enumerate_nodes(mesh, 1)
-        gf = GaussField(mesh, 1, 2, rng.standard_normal((mesh.n_leaves, 4)))
+        gf = GaussField(mesh, 1, rng.standard_normal((mesh.n_leaves, 4)))
         proj = project_l2(gf, tol=1e-13)
         assert integrate_gauss(eval_at_gauss(proj)) == pytest.approx(
             integrate_gauss(gf), rel=1e-11
@@ -209,12 +209,7 @@ class TestProjectL2:
                 mesh, _ = execute_refine(mesh, refine)
             p = 1 + trial % 2
             for _ in range(10):
-                gf = GaussField(
-                    mesh,
-                    p,
-                    p + 1,
-                    rng.standard_normal((mesh.n_leaves, (p + 1) ** 2)) + 2.0,
-                )
+                gf = GaussField(mesh, p, rng.standard_normal((mesh.n_leaves, (p + 1) ** 2)) + 2.0)
                 proj = project_l2(gf, tol=1e-12)
                 target = integrate_gauss(gf)
                 got = integrate_gauss(eval_at_gauss(proj))
@@ -228,9 +223,13 @@ class TestFieldValidation:
             NodalField(mesh, 1, np.zeros(7))
 
     def test_gauss_field_shape_checked(self):
+        # a GaussField holds the p + 1 rule only: 4 points per Q1 leaf, 9 per Q2 leaf
         mesh = build_uniform(2, 2)
-        with pytest.raises(ValueError):
-            GaussField(mesh, 1, 2, np.zeros((mesh.n_leaves, 3)))
+        for p, n_points in ((1, 3), (1, 9), (2, 4), (2, 16)):
+            with pytest.raises(ValueError, match="gauss block shape"):
+                GaussField(mesh, p, np.zeros((mesh.n_leaves, n_points)))
+        with pytest.raises(ValueError, match="gauss block shape"):
+            GaussField(mesh, 1, np.zeros(4 * mesh.n_leaves))
 
 
 class TestSolveSpd:
@@ -283,6 +282,35 @@ class TestSolveSpd:
         a = sp.identity(4, format="csr")
         assert np.all(solve_spd(SparseSystem(a, np.zeros(4))) == 0.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "entry", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"]
+    )
+    def test_non_finite_rhs_norm_refused_before_iterating(self, entry):
+        # a NaN ran the whole 20 n + 200 cap (21,980 iterations here) before
+        # failing; an inf or an overflowing ||b|| made the target inf, so
+        # x = 0 returned as converged
+        mass = assemble_mass(build_uniform(2, 5), 1)
+        rhs = np.ones(mass.shape[0])
+        rhs[7] = entry
+        norm = r"nan" if np.isnan(entry) else r"inf"
+        with pytest.raises(SolverError, match=rf"\(\|\|b\|\| = {norm}\) or x0 is not finite"):
+            solve_spd(SparseSystem(mass, rhs))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_initial_guess_refused(self, entry):
+        a = sp.identity(4, format="csr")
+        x0 = np.array([1.0, entry, 0.0, 0.0])
+        with pytest.raises(SolverError, match=r"\(\|\|b\|\| = 2\.0\) or x0 is not finite"):
+            solve_spd(SparseSystem(a, np.ones(4)), x0=x0)
+
+    def test_large_finite_rhs_still_solves(self):
+        # entries near the overflow bound whose norm stays finite solve as before
+        d = np.array([2.0, 4.0])
+        rhs = np.array([1e150, -3e150])
+        x = solve_spd(SparseSystem(sp.diags(d).tocsr(), rhs))
+        assert x == pytest.approx(list(rhs / d), rel=1e-14)
+
 
 def _assert_same_csr(got, want):
     assert np.array_equal(got.indptr, want.indptr)
@@ -318,7 +346,7 @@ def test_square_sums_match_the_axis_reduction(dim, p):
     gf = eval_at_gauss(phi)
     density = problem.free_energy.f(gf.values) + 0.5 * problem.eps2 * sq
     assert models.energy(phi, problem) == integrate_gauss(replace(gf, values=density))
-    w, jac = _element_rule(mesh, p, p + 1)
+    w, jac = _element_rule(mesh, p)
     assert np.array_equal(element_gradient_norms(phi), np.sqrt(np.maximum((sq @ w) * jac, 0.0)))
 
 
@@ -354,9 +382,9 @@ def test_integrals_are_independent_of_blas_threads():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_assembly_kernels_match_per_module_reference(dim, p, n_q_extra, energy):
     # the fem kernels reproduce the hand-written per-module assembly bit for
-    # bit: mass, stiffness, load vector, f'(phi) vector and f''(phi) matrix;
-    # the operators use the p + 1 rule, and the load vector is also checked
-    # for Gauss data on p + n_q_extra points
+    # bit: mass, stiffness, load vector, f'(phi) vector and f''(phi) matrix,
+    # all on the p + 1 rule; Gauss data on p + n_q_extra points is refused,
+    # since no GaussField holds another rule
     mesh = kernel_test_mesh(dim)
     nn = enumerate_nodes(mesh, p)
     assert dim == 1 or nn.n_nodes > nn.n_dofs  # 2D cases carry hanging nodes
@@ -365,8 +393,13 @@ def test_assembly_kernels_match_per_module_reference(dim, p, n_q_extra, energy):
 
     rng = np.random.default_rng(31 + 7 * dim + p)
     nq = p + 1 if n_q_extra is None else p + n_q_extra
-    gf = GaussField(mesh, p, nq, rng.standard_normal((mesh.n_leaves, nq**dim)))
-    assert np.array_equal(_gauss_rhs(gf), ref._gauss_rhs(gf))
+    values = rng.standard_normal((mesh.n_leaves, nq**dim))
+    if n_q_extra is None:
+        gf = GaussField(mesh, p, values)
+        assert np.array_equal(_gauss_rhs(gf), ref._gauss_rhs(gf))
+    else:
+        with pytest.raises(ValueError, match="gauss block shape"):
+            GaussField(mesh, p, values)
 
     if energy == "polynomial":
         fe, phi = PolynomialFreeEnergy(), rng.uniform(-1.0, 1.0, nn.n_dofs)
@@ -398,11 +431,17 @@ def test_assembly_kernels_match_per_module_reference(dim, p, n_q_extra, energy):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gauss_mass_table_matches_einsum(dim, p, n_q_extra):
     # the basis-product matmul sums over the Gauss points in another order
-    # than the einsum it replaced, so the two agree to roundoff, not bitwise
+    # than the einsum it replaced, so the two agree to roundoff, not bitwise;
+    # Gauss data on p + n_q_extra points has no GaussField to weight with
     mesh = kernel_test_mesh(dim)
     n_q = p + 1 if n_q_extra is None else p + n_q_extra
     rng = np.random.default_rng(43 + 7 * dim + p)
-    gf = GaussField(mesh, p, n_q, rng.standard_normal((mesh.n_leaves, n_q**dim)))
+    values = rng.standard_normal((mesh.n_leaves, n_q**dim))
+    if n_q_extra is not None:
+        with pytest.raises(ValueError, match="gauss block shape"):
+            GaussField(mesh, p, values)
+        return
+    gf = GaussField(mesh, p, values)
     want = _scatter_matrix(enumerate_nodes(mesh, p), ref.gauss_mass_einsum(gf))
     assert abs(_gauss_mass(gf) - want).max() <= 1e-14 * abs(want).max()
 

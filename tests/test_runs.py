@@ -7,9 +7,10 @@ from amrfem import adapt, runs
 from amrfem.errors import SolverError
 from amrfem.config import ExperimentConfig
 from amrfem.fem import NodalField, eval_at_gauss, integrate_gauss, interpolate_nodal
-from amrfem.models import energy
-from amrfem.mesh import build_uniform, execute_refine
+from amrfem.models import DiffusionProblem, energy, mms_exact
+from amrfem.mesh import build_uniform, enumerate_nodes, execute_refine
 from amrfem.runs import emit_outputs, run_mms, run_spinodal
+from assembly_reference import l2_error_vs_exact
 from convergence import convergence_slope
 from amrfem.vtkio import write_vtk
 
@@ -22,6 +23,27 @@ class TestConvergenceSlope:
 
     def test_two_point_slope(self):
         assert convergence_slope([5, 6], [8e-5, 1e-5]) == pytest.approx(3.0, abs=1e-12)
+
+
+class TestL2ErrorVsExact:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_the_general_rule_path_bit_for_bit(self, p):
+        # the p + 3 evaluation inside runs gives the bits of eval_at_gauss
+        # and integrate_gauss on that rule, on a mesh with hanging nodes
+        mesh = build_uniform(2, 3)
+        refine = np.zeros(mesh.n_leaves, dtype=bool)
+        refine[[0, 5, 9, 30]] = True
+        mesh, _ = execute_refine(mesh, refine)
+        nn = enumerate_nodes(mesh, p)
+        assert nn.n_nodes > nn.n_dofs
+        problem = DiffusionProblem(amplitude=0.3, kappa=0.05)
+        rng = np.random.default_rng(11 + p)
+        t = 0.37
+        field = interpolate_nodal(mesh, p, lambda c: mms_exact(c[:, 0], c[:, 1], t, problem))
+        field = NodalField(mesh, p, field.values + 1e-3 * rng.standard_normal(nn.n_dofs))
+        got = runs._l2_error_vs_exact(field, problem, t)
+        want = l2_error_vs_exact(field, problem, t)
+        assert got > 0.0 and got.hex() == want.hex()
 
 
 class TestMmsSmall:

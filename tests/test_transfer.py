@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 import transfer_reference as reference
 from amrfem.errors import MeshStateError
 from amrfem.fem import (
+    GaussField,
     LeafField,
+    _tables,
     NodalField,
     assemble_mass,
     eval_at_gauss,
@@ -399,18 +402,23 @@ class TestRandomisedConservation:
 
 class TestOneRule:
     # the mass matrix integrates on the p + 1 rule only, so Gauss data on
-    # another rule cannot be restricted or projected conservatively
+    # another rule cannot be restricted or projected conservatively: no
+    # GaussField holds it, so none reaches either
+    OFF_RULE = r"gauss block shape \(16, 9\) != \(16, 4\)"
+
     def test_projection_rejects_another_rule(self):
         f = interpolate_nodal(build_uniform(2, 2), 1, demo_profile)
-        with pytest.raises(ValueError, match=r"n_q = 3 .*p = 1"):
-            project_l2(eval_at_gauss(f, 3))
+        values = f.element_values() @ _tables(2, 1, 3)[0]  # three points per axis
+        with pytest.raises(ValueError, match=self.OFF_RULE):
+            project_l2(GaussField(f.mesh, f.p, values))
 
     def test_restriction_rejects_another_rule(self):
         mesh = build_uniform(2, 2)
         f = interpolate_nodal(mesh, 1, demo_profile)
         _, rec = coarsen(mesh)
-        with pytest.raises(ValueError, match=r"n_q = 3 .*p = 1"):
-            restrict_gauss_field(eval_at_gauss(f, 3), rec)
+        values = f.element_values() @ _tables(2, 1, 3)[0]
+        with pytest.raises(ValueError, match=self.OFF_RULE):
+            restrict_gauss_field(replace(eval_at_gauss(f), values=values), rec)
 
 
 class TestL2Optimality:
