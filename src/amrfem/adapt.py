@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _check_band, _check_positive, _check_unit
+from .config import _check_band, _check_positive
 from .fem import NodalField, _element_rule, _square_sum, eval_at_gauss, eval_grad_at_gauss
 from .mesh import execute_coarsen, execute_refine, sibling_families
 from .transfer import (
@@ -47,17 +47,15 @@ class MmsCriterion:
     """Coarsen-only criterion for the two-level manufactured-solution runs.
 
     Level-l leaves whose gradient indicator falls below tau are flagged, and
-    so is the lowest-indicator 10% of all leaves (restricted to level l).
-    Leaves already at l-1 never change.
+    so is the lowest-indicator 10% of all leaves (restricted to level l; the
+    10% is fixed). Leaves already at l-1 never change.
     """
 
     tau: float
     fine_level: int
-    fraction: float = 0.10
 
     def __post_init__(self):
         _check_positive(tau=self.tau)
-        _check_unit(fraction=self.fraction)
 
     def refine(self, field: NodalField) -> np.ndarray:
         return np.zeros(field.mesh.n_leaves, dtype=bool)
@@ -100,9 +98,10 @@ def mark_mms(field: NodalField, crit: MmsCriterion) -> np.ndarray:
     Two clauses, combined by union. Threshold clause: level-l leaves with
     eta below tau. Fraction clause: the lowest-indicator complete level-l
     sibling families, taken in ascending order of their worst child, until
-    10% of all leaves are spent. Flagging whole families is what guarantees
-    the rule actually produces merges each cycle (stray single-leaf flags
-    would be dropped at execution time); ties break by Morton position.
+    int(0.10 * n_leaves) leaves are spent. Flagging whole families is what
+    guarantees the rule actually produces merges each cycle (stray
+    single-leaf flags would be dropped at execution time); ties break by
+    Morton position.
     A mesh with no leaf at level l gets the empty mask without computing eta.
     """
     mesh = field.mesh
@@ -113,7 +112,7 @@ def mark_mms(field: NodalField, crit: MmsCriterion) -> np.ndarray:
     eta = element_gradient_norms(field)
     coarsen[at_fine & (eta < crit.tau)] = True
     nchild = 2**mesh.dim
-    budget = int(crit.fraction * mesh.n_leaves)
+    budget = int(0.10 * mesh.n_leaves)
     if budget >= nchild:
         starts = sibling_families(mesh, at_fine)
         children = starts[:, None] + np.arange(nchild)

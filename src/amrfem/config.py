@@ -17,7 +17,7 @@ __all__ = ["ExperimentConfig", "parse_config", "serialize_config"]
 _BOOL = {"true": True, "false": False}
 MAX_LEVEL = 20  # deepest quadtree level: anchors are integers at 2^-MAX_LEVEL
 _KIND_FLOATS = {  # float fields that one kind reads; every kind reads the others
-    "mms": ("theta", "tau", "fraction", "kappa", "mms_amplitude"),
+    "mms": ("tau", "kappa", "mms_amplitude"),
     "spinodal": ("band_lo", "band_hi", "eps2", "mobility", "fh_a", "fh_chi", "fh_beta", "phi0",
                  "amplitude"),
 }
@@ -36,10 +36,8 @@ class ExperimentConfig:
     # [time]
     dt: float = 0.01
     t_final: float = 1.0
-    theta: float = 0.5
     # [adapt]
     tau: float = 1e-2
-    fraction: float = 0.10
     band_lo: float = -0.9
     band_hi: float = 0.9
     band_closed: bool = True
@@ -59,8 +57,6 @@ class ExperimentConfig:
     mode: str = "conservative"  # conservative | injection | both
     # [solver]
     mass_tol: float = 1e-12
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 30
     # [output]
     directory: str = "out"
     snapshot_every: int = 0  # 0 -> no VTK snapshots
@@ -82,7 +78,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.kind == "mms":
             _check_positive(tau=self.tau, kappa=self.kappa)
-            _check_unit(fraction=self.fraction, theta=self.theta)
         if self.kind == "spinodal":
             if self.bulk_level >= self.interface_level:
                 raise ValueError("bulk_level must be below interface_level")
@@ -92,12 +87,9 @@ class ExperimentConfig:
                 raise ValueError(f"amplitude must be non-negative, got {self.amplitude!r}")
         if self.adapt_every < 1:
             raise ValueError("adapt_every must be >= 1")
-        _check_positive(
-            dt=self.dt, t_final=self.t_final, mass_tol=self.mass_tol, newton_tol=self.newton_tol
-        )
-        for name, low in (("newton_max_iter", 1), ("snapshot_every", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        _check_positive(dt=self.dt, t_final=self.t_final, mass_tol=self.mass_tol)
+        if self.snapshot_every < 0:
+            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         unread = {name for kind, names in _KIND_FLOATS.items() if kind != self.kind for name in names}
         for name in (f.name for f in dc_fields(self) if f.type == "float" and f.name not in unread):
             if not math.isfinite(getattr(self, name)):
@@ -110,13 +102,6 @@ def _check_positive(**values: float) -> None:
     for name, value in values.items():
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def _check_unit(**values: float) -> None:
-    """Reject any value outside [0, 1] (a NaN included)."""
-    for name, value in values.items():
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _check_band(lo: float, hi: float, closed: bool) -> None:
@@ -132,8 +117,8 @@ def _check_band(lo: float, hi: float, closed: bool) -> None:
 _SECTIONS: dict[str, tuple[str, ...]] = {
     "experiment": ("kind", "degree", "seed"),
     "mesh": ("level", "bulk_level", "interface_level"),
-    "time": ("dt", "t_final", "theta"),
-    "adapt": ("tau", "fraction", "band_lo", "band_hi", "band_closed", "adapt_every"),
+    "time": ("dt", "t_final"),
+    "adapt": ("tau", "band_lo", "band_hi", "band_closed", "adapt_every"),
     "physics": (
         "kappa",
         "eps2",
@@ -147,7 +132,7 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
         "mms_amplitude",
     ),
     "transfer": ("mode",),
-    "solver": ("mass_tol", "newton_tol", "newton_max_iter"),
+    "solver": ("mass_tol",),
     "output": ("directory", "snapshot_every"),
 }
 

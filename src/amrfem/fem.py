@@ -314,7 +314,8 @@ def solve_spd(system: SparseSystem, x0: np.ndarray | None = None) -> np.ndarray:
     a = system.matrix
     b = np.asarray(system.rhs, dtype=float)
     n = len(b)
-    bnorm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):  # an overflowing ||b|| is refused just below
+        bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm) or (x0 is not None and not np.all(np.isfinite(x0))):
         raise SolverError(f"right-hand side (||b|| = {bnorm}) or x0 is not finite")
     if bnorm == 0.0:

@@ -409,7 +409,7 @@ class NodeNumbering:
 
     The operator caches are ``cache`` (assembled mass and stiffness under
     ``("mass_c",)`` and ``("stiff_c",)``, the diffusion step's operators
-    under ``("diffusion_ops", dt, theta, kappa)`` and the Cahn-Hilliard LU
+    under ``("diffusion_ops", dt, kappa)`` and the Cahn-Hilliard LU
     factor under ``("ch_lu", dt, mobility, eps2)``: the first item names
     the kind) and the derived properties ``summation_map`` (one int32 slot
     per element entry: every matrix on the numbering sums through it in

@@ -1,7 +1,7 @@
 """Time-dependent drivers: manufactured-solution diffusion and Cahn-Hilliard.
 
 Both use continuous Galerkin in space with homogeneous Neumann boundaries.
-Diffusion is integrated with theta-weighted (default Crank-Nicolson) steps;
+Diffusion is integrated with Crank-Nicolson steps;
 Cahn-Hilliard uses fully implicit backward Euler on the split (phi, mu)
 system solved by Newton.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .config import _check_positive, _check_unit
+from .config import _check_positive
 from .errors import NewtonError
 from .fem import (
     NodalField,
@@ -71,12 +71,10 @@ class DiffusionProblem:
     kappa: float = 0.03
     dt: float = 0.01
     t_final: float = 1.0
-    theta: float = 0.5
     mass_tol: float = 1e-12
 
     def __post_init__(self):
         _check_positive(kappa=self.kappa)
-        _check_unit(theta=self.theta)
 
 
 def mms_exact(x, y, t, problem: DiffusionProblem):
@@ -88,21 +86,21 @@ def mms_exact(x, y, t, problem: DiffusionProblem):
 
 
 def diffusion_step(field: NodalField, problem: DiffusionProblem) -> NodalField:
-    """One theta-step of the diffusion equation on the field's mesh.
+    """One Crank-Nicolson step of the diffusion equation on the field's mesh.
 
-    Solves (M/dt + theta*kappa*K) u = (M/dt - (1-theta)*kappa*K) u_old with
+    Solves (M/dt + kappa/2 K) u = (M/dt - kappa/2 K) u_old with
     the SPD conjugate-gradient solver; on a static mesh the v=1 test function
     makes the step conservative to solver tolerance.
     """
     mesh, p = field.mesh, field.p
     nn = enumerate_nodes(mesh, p)
-    key = ("diffusion_ops", problem.dt, problem.theta, problem.kappa)
+    key = ("diffusion_ops", problem.dt, problem.kappa)
     ops = nn.cache.get(key)
     if ops is None:
         mass = assemble_mass(mesh, p)
         stiff = assemble_stiffness(mesh, p)
-        lhs = (mass / problem.dt + (problem.theta * problem.kappa) * stiff).tocsr()
-        rhs_op = (mass / problem.dt - ((1.0 - problem.theta) * problem.kappa) * stiff).tocsr()
+        lhs = (mass / problem.dt + (0.5 * problem.kappa) * stiff).tocsr()
+        rhs_op = (mass / problem.dt - (0.5 * problem.kappa) * stiff).tocsr()
         ops = (lhs, rhs_op)
         nn.cache[key] = ops
     lhs, rhs_op = ops
@@ -184,8 +182,6 @@ class CahnHilliardProblem:
     mobility: float = 1.0
     dt: float = 5e-4
     t_final: float = 0.5
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 30
     mass_tol: float = 1e-12
 
     def __post_init__(self):
@@ -270,6 +266,10 @@ def _anderson(history: list) -> np.ndarray:
     return g
 
 
+NEWTON_RTOL = 1e-10  # a step converges at residual norm <= NEWTON_RTOL * max(1, initial norm)
+NEWTON_ITER_CAP = 30  # iterations before a step raises NewtonError
+
+
 def _ch_substep(
     phi: NodalField, mu: NodalField, problem: CahnHilliardProblem, dt: float, start=None
 ):
@@ -283,7 +283,10 @@ def _ch_substep(
     images, which turns the linear convergence of the chord iteration into
     nearly Newton-like convergence. The history is cleared at every
     factorisation, and the Jacobian is refactorised at the current iterate
-    when an iteration cuts the residual by less than a factor 4.
+    when an iteration cuts the residual by less than a factor 4. The step
+    converges once the residual norm is at most ``NEWTON_RTOL`` (1e-10) times
+    max(1, initial norm) and raises NewtonError after ``NEWTON_ITER_CAP``
+    (30) iterations that do not get there.
 
     Mass is exact by construction: each chord image g gets its phi part
     shifted by the constant c = (w'phi_old - w'g_phi) / sum(w), where
@@ -381,11 +384,11 @@ def _ch_substep(
                 ) from exc
             nn.cache[lu_key] = lu
             history.clear()
-        if trace[-1] <= problem.newton_tol * r0:
+        if trace[-1] <= NEWTON_RTOL * r0:
             return NodalField(mesh, p, u[:n]), NodalField(mesh, p, u[n:]), trace
-        if len(trace) > problem.newton_max_iter:
+        if len(trace) > NEWTON_ITER_CAP:
             raise NewtonError(
-                f"no convergence in {problem.newton_max_iter} iterations "
+                f"no convergence in {NEWTON_ITER_CAP} iterations "
                 f"(residuals {trace[0]:.3e} -> {trace[-1]:.3e})",
                 trace,
             )

@@ -72,12 +72,13 @@ def _field_mass(f: NodalField) -> float:
     return integrate_gauss(eval_at_gauss(f))
 
 
-def run_demo1d(degree: int, mass_tol: float = 1e-13) -> dict:
+def run_demo1d(degree: int) -> dict:
     """Reproduce the 1D coarsening showcase.
 
     Builds the fine mesh (16 linear or 8 quadratic elements), interpolates
     |cos(2 pi x)| + 10 nodally, coarsens uniformly one level with both
-    transfer modes, and reports the three integrals.
+    transfer modes (the conservative projection solved to relative
+    tolerance 1e-13), and reports the three integrals.
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
@@ -90,7 +91,7 @@ def run_demo1d(degree: int, mass_tol: float = 1e-13) -> dict:
     assert coarse_mesh.n_leaves == mesh.n_leaves // 2
 
     injected = transfer_coarsen_injection(fine, record)
-    conservative = transfer_coarsen_conservative(fine, record, tol=mass_tol)
+    conservative = transfer_coarsen_conservative(fine, record, tol=1e-13)
     return {
         "degree": degree,
         "original": original,
@@ -215,7 +216,6 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
         kappa=config.kappa,
         dt=config.dt,
         t_final=config.t_final,
-        theta=config.theta,
         mass_tol=config.mass_tol,
     )
     timers = Timers()
@@ -223,7 +223,7 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
 
     initial = lambda c: mms_exact(c[:, 0], c[:, 1], 0.0, problem)
     state = {"phi": interpolate_nodal(build_uniform(2, config.level), p, initial)}
-    crit = MmsCriterion(tau=config.tau, fine_level=config.level, fraction=config.fraction)
+    crit = MmsCriterion(tau=config.tau, fine_level=config.level)
     advance = lambda s: {"phi": diffusion_step(s["phi"], problem)}
     diag, events, t, _ = _evolve(state, advance, tmode, crit, problem, config, timers)
     err = _l2_error_vs_exact(state["phi"], problem, t)
@@ -307,8 +307,6 @@ def run_spinodal(
         mobility=config.mobility,
         dt=config.dt,
         t_final=config.t_final,
-        newton_tol=config.newton_tol,
-        newton_max_iter=config.newton_max_iter,
         mass_tol=config.mass_tol,
     )
     crit = InterfaceCriterion(

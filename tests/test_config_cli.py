@@ -18,10 +18,7 @@ FLOAT_READERS = {
     "dt": None,
     "t_final": None,
     "mass_tol": None,
-    "newton_tol": None,
-    "theta": "mms",
     "tau": "mms",
-    "fraction": "mms",
     "kappa": "mms",
     "mms_amplitude": "mms",
     "band_lo": "spinodal",
@@ -45,8 +42,17 @@ class TestConfig:
         assert serialize_config(again) == text
 
     def test_unknown_key_is_hard_error(self):
-        # a typo, and the removed quadrature and PCG-cap keys
-        keys = (("experiment", "typo_key"), ("transfer", "quad_points"), ("solver", "pcg_max_iter"))
+        # a typo, the removed quadrature and PCG-cap keys, and the removed
+        # time-integrator, MMS-budget and Newton-stop keys
+        keys = (
+            ("experiment", "typo_key"),
+            ("transfer", "quad_points"),
+            ("solver", "pcg_max_iter"),
+            ("time", "theta"),
+            ("adapt", "fraction"),
+            ("solver", "newton_tol"),
+            ("solver", "newton_max_iter"),
+        )
         for section, key in keys:
             with pytest.raises(ValueError, match=rf"unknown key '{key}' in section \[{section}\]"):
                 parse_config(f"[{section}]\n{key} = 3\n")
@@ -73,9 +79,7 @@ class TestConfig:
             ("dt", -0.01),
             ("dt", 0.0),
             ("t_final", 0.0),
-            ("newton_max_iter", 0),
             ("mass_tol", 0.0),
-            ("newton_tol", -1e-10),
             ("snapshot_every", -1),
         ],
     )
@@ -90,8 +94,6 @@ class TestConfig:
         [
             ("mms", "tau", 0.0),
             ("mms", "kappa", -0.03),
-            ("mms", "fraction", 1.5),
-            ("mms", "theta", float("nan")),
             ("spinodal", "eps2", 0.0),
             ("spinodal", "mobility", -1.0),
             ("spinodal", "amplitude", -0.1),
@@ -125,9 +127,7 @@ class TestConfig:
         "make, field",
         [
             (lambda: MmsCriterion(tau=float("nan"), fine_level=5), "tau"),
-            (lambda: MmsCriterion(tau=0.1, fine_level=5, fraction=-0.5), "fraction"),
             (lambda: DiffusionProblem(kappa=0.0), "kappa"),
-            (lambda: DiffusionProblem(theta=2.0), "theta"),
             (lambda: CahnHilliardProblem(eps2=float("nan")), "eps2"),
             (lambda: CahnHilliardProblem(mobility=0.0), "mobility"),
         ],
@@ -154,11 +154,11 @@ class TestConfig:
     def test_shipped_configs_validate(self):
         # each file parses, and to the same canonical text (SHA-256 prefixes)
         digests = {
-            "demo1d.cfg": "212d48ae59e402f8",
-            "mms_q1_l5.cfg": "4d2093027fb5e02a",
-            "mms_q2_l5.cfg": "a08f14f591f4b205",
-            "spinodal_fh.cfg": "5542f709d4802090",
-            "spinodal_poly.cfg": "07bf24acfa807d90",
+            "demo1d.cfg": "d67867272010b6d4",
+            "mms_q1_l5.cfg": "5abd2eb684cd3bfb",
+            "mms_q2_l5.cfg": "aebb506cd51be70d",
+            "spinodal_fh.cfg": "25711a685f6c9aa8",
+            "spinodal_poly.cfg": "70c2e1527ec6597d",
         }
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
         assert sorted(map(os.path.basename, glob.glob(os.path.join(root, "*.cfg")))) == sorted(digests)
@@ -346,7 +346,11 @@ class TestCli:
         [
             ("mms", "[experiment]\nkind = mms\n\n[time]\ndt = 0\n", "dt"),
             ("mms", "[experiment]\nkind = mms\n\n[adapt]\ntau = 0\n", "tau"),
-            ("mms", "[experiment]\nkind = mms\n\n[adapt]\nfraction = 1.5\n", "fraction"),
+            (
+                "mms",
+                "[experiment]\nkind = mms\n\n[adapt]\nfraction = 1.5\n",
+                "unknown key 'fraction' in section [adapt]",
+            ),
             ("spinodal", "[experiment]\nkind = spinodal\n\n[physics]\neps2 = 0\n", "eps2"),
             ("spinodal", "[experiment]\nkind = spinodal\n\n[physics]\nmobility = -1\n", "mobility"),
             ("mms", "[experiment]\nkind = mms\n\n[time]\ndt = soon\n", "dt"),

@@ -282,7 +282,7 @@ class TestSolveSpd:
         a = sp.identity(4, format="csr")
         assert np.all(solve_spd(SparseSystem(a, np.zeros(4))) == 0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the SolverError is the one report of the fault
     @pytest.mark.parametrize(
         "entry", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"]
     )
