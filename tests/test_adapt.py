@@ -90,6 +90,30 @@ class TestMarkMms:
         assert n_flagged == (budget // 4) * 4
         assert 0 < n_flagged <= budget
 
+    @pytest.mark.parametrize(
+        "dim, level, refined, flagged",
+        [
+            (1, 4, [], 0),  # 16 leaves: a budget of 1 holds no family of 2
+            (1, 6, [], 6),  # 64 leaves: 6, three families
+            (2, 2, [], 0),  # 16 leaves: 1 holds no family of 4
+            (2, 3, [], 4),  # 64 leaves: 6, one family
+            (2, 4, [], 24),  # 256 leaves: 25, six families
+            (2, 3, list(range(0, 64, 8)), 8),  # 88 leaves, 32 at level 4: 8, two families
+        ],
+    )
+    def test_fraction_clause_spends_a_tenth_of_all_leaves(self, dim, level, refined, flagged):
+        mesh = build_uniform(dim, level)
+        fine_level = level
+        if refined:
+            mask = np.zeros(mesh.n_leaves, dtype=bool)
+            mask[refined] = True
+            mesh = execute_refine(mesh, mask)[0]
+            fine_level = level + 1
+        f = interpolate_nodal(mesh, 1, lambda c: 100.0 * c[:, 0])
+        coarsen = mark_mms(f, MmsCriterion(tau=1e-12, fine_level=fine_level))
+        assert np.count_nonzero(coarsen) == flagged
+        assert np.all(mesh.levels[coarsen] == fine_level)
+
     def test_all_coarse_leaves_give_empty_plan(self):
         mesh = build_uniform(2, 2)
         f = interpolate_nodal(mesh, 1, lambda c: np.ones(len(c)))

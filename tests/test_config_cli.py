@@ -136,6 +136,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field} must"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, keyword",
+        [
+            (lambda: DiffusionProblem(theta=0.5), "theta"),
+            (lambda: MmsCriterion(tau=0.1, fine_level=5, fraction=0.1), "fraction"),
+            (lambda: CahnHilliardProblem(newton_tol=1e-10), "newton_tol"),
+            (lambda: CahnHilliardProblem(newton_max_iter=30), "newton_max_iter"),
+            (lambda: run_demo1d(1, mass_tol=1e-13), "mass_tol"),
+        ],
+    )
+    def test_fixed_constants_take_no_keyword(self, make, keyword):
+        # Crank-Nicolson, the 10% budget, the Newton stop and the demo's
+        # projection tolerance are constants, not settings
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{keyword}'"):
+            make()
+
     def test_parse_from_a_path_with_an_equals_sign(self, tmp_path):
         path = tmp_path / "run=1" / "exp.cfg"
         path.parent.mkdir()
@@ -350,6 +366,21 @@ class TestCli:
                 "mms",
                 "[experiment]\nkind = mms\n\n[adapt]\nfraction = 1.5\n",
                 "unknown key 'fraction' in section [adapt]",
+            ),
+            (
+                "mms",
+                "[experiment]\nkind = mms\n\n[time]\ntheta = 0.5\n",
+                "unknown key 'theta' in section [time]",
+            ),
+            (
+                "spinodal",
+                "[experiment]\nkind = spinodal\n\n[solver]\nnewton_tol = 1e-10\n",
+                "unknown key 'newton_tol' in section [solver]",
+            ),
+            (
+                "spinodal",
+                "[experiment]\nkind = spinodal\n\n[solver]\nnewton_max_iter = 30\n",
+                "unknown key 'newton_max_iter' in section [solver]",
             ),
             ("spinodal", "[experiment]\nkind = spinodal\n\n[physics]\neps2 = 0\n", "eps2"),
             ("spinodal", "[experiment]\nkind = spinodal\n\n[physics]\nmobility = -1\n", "mobility"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from amrfem import adapt, models, runs
+from amrfem import adapt, fem, models, runs
 from amrfem.config import ExperimentConfig
 from amrfem.errors import NewtonError
 from amrfem.fem import (
@@ -164,6 +164,30 @@ class TestDiffusionStep:
         e2 = np.linalg.norm(advance(0.05) - ref)
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_step_is_the_theta_scheme_at_one_half(self, dim, p):
+        # (M/dt + theta kappa K) u = (M/dt - (1 - theta) kappa K) u_old at
+        # theta = 0.5, bit for bit, on a mesh with hanging nodes in 2D
+        mesh = hanging_node_mesh() if dim == 2 else build_uniform(1, 5)
+        prob = DiffusionProblem(dt=0.01, mass_tol=1e-13)
+        f = interpolate_nodal(mesh, p, lambda c: np.cos(2 * np.pi * c[:, 0]) + c[:, -1] ** 2)
+        theta = 0.5
+        mass, stiff = fem.assemble_mass(mesh, p), fem.assemble_stiffness(mesh, p)
+        lhs = (mass / prob.dt + (theta * prob.kappa) * stiff).tocsr()
+        rhs_op = (mass / prob.dt - ((1.0 - theta) * prob.kappa) * stiff).tocsr()
+        system = fem.SparseSystem(lhs, rhs_op @ f.values, tol=prob.mass_tol)
+        want = fem.solve_spd(system, x0=f.values)
+        assert diffusion_step(f, prob).values.tobytes() == want.tobytes()
+
+    def test_operators_cached_under_dt_and_kappa(self):
+        mesh = build_uniform(2, 3)
+        prob = DiffusionProblem(dt=0.02, kappa=0.05)
+        f = interpolate_nodal(mesh, 1, lambda c: c[:, 0])
+        diffusion_step(f, prob)
+        keys = [k for k in enumerate_nodes(mesh, 1).cache if k[0] == "diffusion_ops"]
+        assert keys == [("diffusion_ops", 0.02, 0.05)]
+
 
 class TestFreeEnergies:
     def test_polynomial_well(self):
@@ -246,6 +270,29 @@ class TestChStep:
         m0 = field_mass(phi)
         phi2, _, _ = ch_step(phi, mu, prob)
         assert abs(field_mass(phi2) - m0) <= 1e-11
+
+    @pytest.mark.parametrize("variant", ["polynomial", "flory_huggins"])
+    def test_newton_stops_at_the_first_residual_below_1e_10(self, variant):
+        # the stop is 1e-10 times max(1, initial norm), checked after every iteration
+        base = 0.5 if variant == "flory_huggins" else 0.0
+        prob = CahnHilliardProblem(free_energy=make_free_energy(variant), dt=5e-4)
+        phi = random_mixture_ic(build_uniform(2, 4), 1, base, 0.1, 5)
+        mu = chemical_potential_init(phi, prob)
+        _, _, trace = models._ch_substep(phi, mu, prob, prob.dt)
+        stop = 1e-10 * max(1.0, trace[0])
+        assert len(trace) > 1 and trace[-1] <= stop
+        assert all(r > stop for r in trace[:-1])
+
+    def test_newton_error_after_thirty_iterations(self, monkeypatch):
+        # an iteration that never moves its iterate exhausts the cap
+        monkeypatch.setattr(models, "_anderson", lambda history: history[-1][1] - history[-1][0])
+        prob = CahnHilliardProblem(dt=5e-4)
+        phi = random_mixture_ic(build_uniform(2, 3), 1, 0.0, 0.1, 3)
+        mu = chemical_potential_init(phi, prob)
+        with pytest.raises(NewtonError, match=r"^no convergence in 30 iterations \(") as info:
+            models._ch_substep(phi, mu, prob, prob.dt)
+        trace = info.value.trace
+        assert len(trace) == 31 and min(trace) > 1e-10 * max(1.0, trace[0])
 
     @pytest.mark.parametrize("variant", ["polynomial", "flory_huggins"])
     def test_jacobian_matches_finite_differences(self, variant):
