@@ -19,7 +19,7 @@ _EXPORTS = {
     "mesh": "MAX_LEVEL CoarsenRecord MeshTopology RefineRecord build_uniform enumerate_nodes "
     "execute_coarsen execute_refine",
     "fem": "GaussField LeafField NodalField SparseSystem assemble_mass assemble_stiffness "
-    "eval_at_gauss eval_grad_at_gauss integrate_gauss interpolate_nodal project_l2 solve_spd",
+    "eval_at_gauss grad_sq_at_gauss integrate_gauss interpolate_nodal project_l2 solve_spd",
     "transfer": "TransferMode refine_leaf_field restrict_gauss_field transfer_coarsen_conservative "
     "transfer_coarsen_injection",
     "models": "CahnHilliardProblem Diagnostics DiffusionProblem FloryHugginsFreeEnergy "

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _check_band, _check_positive
-from .fem import NodalField, _element_rule, _square_sum, eval_at_gauss, eval_grad_at_gauss
+from .fem import NodalField, _element_rule, eval_at_gauss, grad_sq_at_gauss
 from .mesh import execute_coarsen, execute_refine, sibling_families
 from .transfer import (
     TransferMode,
@@ -36,9 +36,8 @@ def element_gradient_norms(field: NodalField) -> np.ndarray:
 
     eta_e = sqrt(sum_q w_q |J| |grad phi(x_q)|^2), one value per leaf.
     """
-    grads = eval_grad_at_gauss(field)
     w, jac = _element_rule(field.mesh, field.p)
-    sq = _square_sum(grads) @ w
+    sq = grad_sq_at_gauss(field) @ w
     return np.sqrt(np.maximum(sq * jac, 0.0))
 
 

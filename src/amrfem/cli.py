@@ -62,9 +62,7 @@ def _cmd_demo1d(args, cfg) -> int:
     print(f"injection    {report['injection']:.6f}")
     print(f"conservative {report['conservative']:.6f}")
     if out_dir:
-        from .config import ExperimentConfig
-
-        emit_outputs(report, ExperimentConfig(kind="demo1d", degree=degree), out_dir)
+        emit_outputs(report, out_dir)
     if abs(report["conservative"] - report["original"]) > 1e-10:
         print("FAIL: conservative transfer changed the integral", file=sys.stderr)
         return 1
@@ -85,7 +83,7 @@ def _run_modes(args, cfg, run, report) -> int:
     ok = True
     for mode in (args.mode,) if args.mode else modes:
         result = run(mode, out_dir)
-        emit_outputs(result, cfg, out_dir, mode)
+        emit_outputs(result, out_dir)
         ok = report(cfg, mode, result) and ok
     return 0 if ok else 1
 

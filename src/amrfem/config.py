@@ -94,6 +94,13 @@ class ExperimentConfig:
         for name in (f.name for f in dc_fields(self) if f.type == "float" and f.name not in unread):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        steps = self.t_final / self.dt  # the time loop takes round(steps) steps of dt
+        n = round(steps) if math.isfinite(steps) else 0
+        if n < 1 or abs(steps - n) > 1e-9 * n:
+            raise ValueError(
+                f"t_final ({self.t_final!r}) must be a whole number (at least 1) of steps "
+                f"dt ({self.dt!r}), got t_final / dt = {steps!r}"
+            )
         return self
 
 

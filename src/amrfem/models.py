@@ -26,11 +26,10 @@ from .fem import (
     SparseSystem,
     _gauss_mass,
     _gauss_rhs,
-    _square_sum,
     assemble_mass,
     assemble_stiffness,
     eval_at_gauss,
-    eval_grad_at_gauss,
+    grad_sq_at_gauss,
     integrate_gauss,
     solve_spd,
 )
@@ -70,7 +69,6 @@ class DiffusionProblem:
     amplitude: float = 0.1
     kappa: float = 0.03
     dt: float = 0.01
-    t_final: float = 1.0
     mass_tol: float = 1e-12
 
     def __post_init__(self):
@@ -122,22 +120,25 @@ class PolynomialFreeEnergy:
         return 3.0 * phi * phi - 1.0
 
 
+FH_CLAMP = 1e-6
+
+
 @dataclass(frozen=True)
 class FloryHugginsFreeEnergy:
     """Logarithmic mixture energy with pure phases at 0 and 1.
 
-    Arguments of the logarithms and reciprocals are clamped to
-    [clip, 1 - clip] so evaluations stay finite for out-of-range states;
-    derivatives use the same clamped argument for Newton consistency.
+    Arguments of the logarithms and reciprocals are clamped to the fixed
+    interval [``FH_CLAMP``, 1 - ``FH_CLAMP``] (1e-6), so evaluations stay
+    finite for out-of-range states; derivatives use the same clamped
+    argument for Newton consistency.
     """
 
     a: float = 1.0
     chi: float = 3.0
     beta: float = 0.01
-    clip: float = 1e-6
 
     def _clamped(self, phi):
-        return np.clip(phi, self.clip, 1.0 - self.clip)
+        return np.clip(phi, FH_CLAMP, 1.0 - FH_CLAMP)
 
     def f(self, phi):
         phi = np.asarray(phi, dtype=float)
@@ -168,6 +169,7 @@ class FloryHugginsFreeEnergy:
 
 
 def make_free_energy(variant: str, **params):
+    """The named free energy; only Flory-Huggins reads ``params`` (a, chi, beta)."""
     if variant == "polynomial":
         return PolynomialFreeEnergy()
     if variant == "flory_huggins":
@@ -181,7 +183,6 @@ class CahnHilliardProblem:
     eps2: float = 1e-3
     mobility: float = 1.0
     dt: float = 5e-4
-    t_final: float = 0.5
     mass_tol: float = 1e-12
 
     def __post_init__(self):
@@ -440,8 +441,7 @@ def energy(phi: NodalField, problem) -> float:
     """Ginzburg-Landau energy: integral of f(phi) + eps2/2 |grad phi|^2."""
     fe = problem.free_energy
     gf = eval_at_gauss(phi)
-    grads = eval_grad_at_gauss(phi)
-    density = fe.f(gf.values) + 0.5 * problem.eps2 * _square_sum(grads)
+    density = fe.f(gf.values) + 0.5 * problem.eps2 * grad_sq_at_gauss(phi)
     return integrate_gauss(replace(gf, values=density))
 
 
@@ -489,13 +489,10 @@ class Diagnostics:
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(
-        0xFFFFFFFFFFFFFFFF
-    )
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(
-        0xFFFFFFFFFFFFFFFF
-    )
+    """The SplitMix64 output function of each state; uint64 arrays wrap modulo 2^64."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
 
 

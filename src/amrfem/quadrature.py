@@ -80,7 +80,6 @@ _GL_TABLE = {
 class QuadratureRule1D:
     """An n-point rule on [-1, 1]; exact for polynomials of degree 2n-1."""
 
-    n_points: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -95,19 +94,19 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
     if n in _GL_TABLE:
         pts, wts = _GL_TABLE[n]
-        return QuadratureRule1D(n, np.array(pts), np.array(wts))
-    return QuadratureRule1D(n, *np.polynomial.legendre.leggauss(n))
+        return QuadratureRule1D(np.array(pts), np.array(wts))
+    return QuadratureRule1D(*np.polynomial.legendre.leggauss(n))
 
 
 @dataclass(frozen=True)
 class LagrangeBasis1D:
-    """Cardinal polynomials N_j on a set of distinct nodes in [-1, 1].
+    """Cardinal polynomials N_j on a set of distinct nodes in [-1, 1], of
+    degree ``n_nodes - 1``.
 
     Evaluation uses the barycentric form with an exact shortcut when the
     abscissa coincides with a node, so N_j(node_k) is exactly delta_jk.
     """
 
-    degree: int
     nodes: np.ndarray
     bary_weights: np.ndarray
 
@@ -151,11 +150,11 @@ class LagrangeBasis1D:
         return out
 
 
-def _make_basis(nodes: np.ndarray, degree: int) -> LagrangeBasis1D:
+def _make_basis(nodes: np.ndarray) -> LagrangeBasis1D:
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     w = 1.0 / diff.prod(axis=1)
-    return LagrangeBasis1D(degree, nodes, w)
+    return LagrangeBasis1D(nodes, w)
 
 
 @lru_cache(maxsize=None)
@@ -163,13 +162,13 @@ def element_nodal_basis(p: int) -> LagrangeBasis1D:
     """Degree-p basis with equispaced nodes (Q1: endpoints, Q2: + midpoint)."""
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
-    return _make_basis(np.linspace(-1.0, 1.0, p + 1), p)
+    return _make_basis(np.linspace(-1.0, 1.0, p + 1))
 
 
 @lru_cache(maxsize=None)
 def quad_point_basis(p: int) -> LagrangeBasis1D:
     """Degree-p basis whose nodes are the (p+1)-point Gauss abscissae."""
-    return _make_basis(gauss_legendre(p + 1).points.copy(), p)
+    return _make_basis(gauss_legendre(p + 1).points.copy())
 
 
 @lru_cache(maxsize=None)

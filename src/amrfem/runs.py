@@ -102,20 +102,23 @@ def run_demo1d(degree: int) -> dict:
     }
 
 
-def _evolve(state, advance, tmode, criterion, problem, config, timers, energy_fn=None,
-            snapshot=None, stop_on=()):
+def _evolve(state, advance, tmode, criterion, config, timers, energy_fn=None, snapshot=None,
+            stop_on=()):
     """Row 0, then steps 1..N of a run: the one time loop of both drivers.
 
-    ``state`` maps names to NodalFields on one mesh, the conserved field
-    under "phi". Each step merges ``advance(state)`` into it (timed into
-    ``timers.pde_solve``); every ``config.adapt_every`` steps ``adapt_cycle``
-    moves it, phi by ``tmode`` and the rest by injection (timed into
-    ``timers.transfer``); then a Diagnostics row takes phi's mass and energy
-    (the cycle's, else ``energy_fn(phi)``, else 0) and ``snapshot(step,
-    state)`` runs. The dict is updated in place and the mesh read from phi,
-    so no earlier mesh outlives its step. An error of a ``stop_on`` type
-    ends the loop. Returns (diagnostics, delta_e of each merging cycle, t of
-    the last step begun, that error or None).
+    The config is the one record of the time grid: N is ``config.t_final /
+    config.dt``, a whole number that ``ExperimentConfig.validate`` checks,
+    and step n ends at t = n ``config.dt``. ``state`` maps names to
+    NodalFields on one mesh, the conserved field under "phi". Each step
+    merges ``advance(state)`` into it (timed into ``timers.pde_solve``);
+    every ``config.adapt_every`` steps ``adapt_cycle`` moves it, phi by
+    ``tmode`` and the rest by injection (timed into ``timers.transfer``);
+    then a Diagnostics row takes phi's mass and energy (the cycle's, else
+    ``energy_fn(phi)``, else 0) and ``snapshot(step, state)`` runs. The
+    dict is updated in place and the mesh read from phi, so no earlier mesh
+    outlives its step. An error of a ``stop_on`` type ends the loop.
+    Returns (diagnostics, delta_e of each merging cycle, t of the last step
+    begun, that error or None).
 
     ``ch_step``, ``diffusion_step``, ``adapt_cycle``, ``energy`` and
     ``write_vtk`` are looked up in this module at each call, never bound
@@ -136,8 +139,8 @@ def _evolve(state, advance, tmode, criterion, problem, config, timers, energy_fn
     t = 0.0
     add_row(t, CycleStats())
     try:
-        for step in range(1, int(round(problem.t_final / problem.dt)) + 1):
-            t = step * problem.dt
+        for step in range(1, int(round(config.t_final / config.dt)) + 1):
+            t = step * config.dt
             t0 = time.perf_counter()
             state.update(advance(state))
             timers.pde_solve += time.perf_counter() - t0
@@ -215,7 +218,6 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
         amplitude=config.mms_amplitude,
         kappa=config.kappa,
         dt=config.dt,
-        t_final=config.t_final,
         mass_tol=config.mass_tol,
     )
     timers = Timers()
@@ -225,7 +227,7 @@ def run_mms(config: ExperimentConfig, mode: str | None = None) -> MmsResult:
     state = {"phi": interpolate_nodal(build_uniform(2, config.level), p, initial)}
     crit = MmsCriterion(tau=config.tau, fine_level=config.level)
     advance = lambda s: {"phi": diffusion_step(s["phi"], problem)}
-    diag, events, t, _ = _evolve(state, advance, tmode, crit, problem, config, timers)
+    diag, events, t, _ = _evolve(state, advance, tmode, crit, config, timers)
     err = _l2_error_vs_exact(state["phi"], problem, t)
     timers.total = time.perf_counter() - t_start
     drift = diag.mass_drift()
@@ -296,17 +298,13 @@ def run_spinodal(
     mode = mode or config.mode
     tmode = TransferMode(mode)
     p = config.degree
-    fe_params = (
-        {"a": config.fh_a, "chi": config.fh_chi, "beta": config.fh_beta}
-        if config.free_energy == "flory_huggins"
-        else {}
-    )
     problem = CahnHilliardProblem(
-        free_energy=make_free_energy(config.free_energy, **fe_params),
+        free_energy=make_free_energy(
+            config.free_energy, a=config.fh_a, chi=config.fh_chi, beta=config.fh_beta
+        ),
         eps2=config.eps2,
         mobility=config.mobility,
         dt=config.dt,
-        t_final=config.t_final,
         mass_tol=config.mass_tol,
     )
     crit = InterfaceCriterion(
@@ -354,7 +352,7 @@ def run_spinodal(
 
     energy_fn = lambda f: energy(f, problem)
     diag, delta_e_events, t, error = _evolve(
-        state, advance, tmode, crit, problem, config, timers, energy_fn, snapshot,
+        state, advance, tmode, crit, config, timers, energy_fn, snapshot,
         stop_on=(SolverError, OSError),  # a Newton failure, a PCG breakdown, a snapshot write
     )
     failure = "" if error is None else f"{type(error).__name__} at t={t:.6g}: {error}"
@@ -381,10 +379,14 @@ def write_summary(path, entries: dict):
             fh.write(f"{key}={entries[key]}\n")
 
 
-def emit_outputs(result, config: ExperimentConfig, out_dir: str, mode: str | None = None):
-    """Write diagnostics CSV and the machine-readable summary for one run."""
+def emit_outputs(result, out_dir: str):
+    """Write the machine-readable summary of one run into ``out_dir``.
+
+    A demo1d report (a dict) writes ``summary.txt``. An MMS or spinodal
+    result writes ``diagnostics_<mode>.csv`` and ``summary_<mode>.txt``,
+    named from ``result.mode``. Returns the summary entries.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    mode = mode or getattr(result, "mode", config.mode)
     if isinstance(result, dict):  # demo1d report
         summary = {
             "experiment": "demo1d",
@@ -395,7 +397,7 @@ def emit_outputs(result, config: ExperimentConfig, out_dir: str, mode: str | Non
         }
         write_summary(os.path.join(out_dir, "summary.txt"), summary)
         return summary
-    result.diagnostics.write_csv(os.path.join(out_dir, f"diagnostics_{mode}.csv"))
+    result.diagnostics.write_csv(os.path.join(out_dir, f"diagnostics_{result.mode}.csv"))
     summary = result.summary_dict()
-    write_summary(os.path.join(out_dir, f"summary_{mode}.txt"), summary)
+    write_summary(os.path.join(out_dir, f"summary_{result.mode}.txt"), summary)
     return summary

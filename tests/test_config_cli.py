@@ -10,7 +10,7 @@ import pytest
 
 from amrfem.adapt import MmsCriterion
 from amrfem.config import ExperimentConfig, parse_config, serialize_config
-from amrfem.models import CahnHilliardProblem, DiffusionProblem
+from amrfem.models import CahnHilliardProblem, DiffusionProblem, FloryHugginsFreeEnergy
 from amrfem.runs import emit_outputs, run_demo1d
 
 # the kind that reads each float field of ExperimentConfig; None: every kind
@@ -79,6 +79,10 @@ class TestConfig:
             ("dt", -0.01),
             ("dt", 0.0),
             ("t_final", 0.0),
+            # off the grid of dt = 0.01: no step, a stop at 0.02, a run on to 0.04
+            ("t_final", 0.004),
+            ("t_final", 0.025),
+            ("t_final", 0.035),
             ("mass_tol", 0.0),
             ("snapshot_every", -1),
         ],
@@ -144,11 +148,15 @@ class TestConfig:
             (lambda: CahnHilliardProblem(newton_tol=1e-10), "newton_tol"),
             (lambda: CahnHilliardProblem(newton_max_iter=30), "newton_max_iter"),
             (lambda: run_demo1d(1, mass_tol=1e-13), "mass_tol"),
+            (lambda: DiffusionProblem(t_final=1.0), "t_final"),
+            (lambda: CahnHilliardProblem(t_final=0.5), "t_final"),
+            (lambda: FloryHugginsFreeEnergy(clip=1e-6), "clip"),
         ],
     )
     def test_fixed_constants_take_no_keyword(self, make, keyword):
-        # Crank-Nicolson, the 10% budget, the Newton stop and the demo's
-        # projection tolerance are constants, not settings
+        # Crank-Nicolson, the 10% budget, the Newton stop, the demo's
+        # projection tolerance and the Flory-Huggins clamp are constants, not
+        # settings; the run's end time is the config's alone
         with pytest.raises(TypeError, match=rf"unexpected keyword argument '{keyword}'"):
             make()
 
@@ -222,7 +230,7 @@ class TestDemoRun:
 
     def test_emit_summary_passthrough(self, tmp_path):
         rep = run_demo1d(1)
-        summary = emit_outputs(rep, ExperimentConfig(kind="demo1d"), str(tmp_path))
+        summary = emit_outputs(rep, str(tmp_path))
         text = (tmp_path / "summary.txt").read_text()
         assert f"integral_original={rep['original']:.17g}" in text
         assert summary["experiment"] == "demo1d"
@@ -394,6 +402,7 @@ class TestCli:
             ("spinodal", f"{SMALL_SPINODAL}[physics]\nfh_chi = inf\n", "fh_chi"),
             ("mms", "[experiment]\nkind = mms\n\n[physics]\nmms_amplitude = nan\n", "mms_amplitude"),
             ("mms", "[experiment]\nkind = mms\n\n[time]\nt_final = inf\n", "t_final"),
+            ("mms", "[experiment]\nkind = mms\n\n[time]\ndt = 0.01\nt_final = 0.025\n", "t_final"),
             ("mms", "kind = mms\n", "section header"),
             ("mms", None, "missing.cfg"),
         ],

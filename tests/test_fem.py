@@ -17,15 +17,15 @@ from amrfem.fem import (
     _gauss_mass,
     _gauss_rhs,
     _scatter_matrix,
-    _square_sum,
+    _tables,
     GaussField,
     NodalField,
     SparseSystem,
     assemble_mass,
     assemble_stiffness,
     eval_at_gauss,
-    eval_grad_at_gauss,
     gauss_point_coords,
+    grad_sq_at_gauss,
     integrate_gauss,
     interpolate_nodal,
     project_l2,
@@ -82,9 +82,9 @@ class TestEvalAtGauss:
     def test_gradients_of_linear_field(self):
         mesh = refined_mesh()
         f = interpolate_nodal(mesh, 1, lambda c: 3.0 * c[:, 0] - 2.0 * c[:, 1])
-        g = eval_grad_at_gauss(f)
-        assert np.abs(g[:, :, 0] - 3.0).max() <= 1e-12
-        assert np.abs(g[:, :, 1] + 2.0).max() <= 1e-12
+        sq = grad_sq_at_gauss(f)
+        assert sq.shape == (mesh.n_leaves, 4)
+        assert np.abs(sq - 13.0).max() <= 1e-11  # |(3, -2)|^2
 
 
 class TestIntegrate:
@@ -332,15 +332,17 @@ def kernel_test_mesh(dim):
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_square_sums_match_the_axis_reduction(dim, p):
-    # energy and the gradient indicator sum squared gradient components one
-    # at a time; that must equal the reduction over the last axis bit for bit
+    # energy and the gradient indicator add squared gradient components one
+    # axis at a time; that must equal the reduction over the last axis of the
+    # stacked physical gradient bit for bit
     mesh = kernel_test_mesh(dim)
     nn = enumerate_nodes(mesh, p)
     assert dim == 1 or nn.n_nodes > nn.n_dofs
     phi = NodalField(mesh, p, np.random.default_rng(5 + dim + p).uniform(-1.0, 1.0, nn.n_dofs))
-    grads = eval_grad_at_gauss(phi)
+    ev, scale = phi.element_values(), 2.0 / mesh.leaf_sizes_physical[:, None]
+    grads = np.stack([(ev @ d) * scale for d in _tables(dim, p, p + 1)[1]], axis=-1)
     sq = np.sum(grads * grads, axis=-1)
-    assert np.array_equal(_square_sum(grads), sq)
+    assert np.array_equal(grad_sq_at_gauss(phi), sq)
 
     problem = CahnHilliardProblem()
     gf = eval_at_gauss(phi)

@@ -691,3 +691,10 @@ class TestRandomMixtureIc:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             random_mixture_ic(build_uniform(2, 2), 1, 0.0, -0.1, 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_splitmix64_wraps_without_warning(self):
+        # uint64 arrays wrap modulo 2^64 silently; state 0 gives the first
+        # SplitMix64 output
+        out = models._splitmix64(np.array([0], np.uint64))
+        assert out.dtype == np.uint64 and out.tolist() == [0xE220A8397B1DCDAF]

@@ -65,6 +65,14 @@ class TestMmsSmall:
         for n in res.diagnostics.n_elements:
             assert 64 <= n <= 256  # levels {3, 4} only
 
+    def test_outputs_are_named_from_the_result_mode(self, tmp_path):
+        # the config says conservative; the files follow the mode the run used
+        cfg = ExperimentConfig(kind="mms", degree=1, level=3, dt=0.02, t_final=0.04)
+        res = run_mms(cfg, "injection")
+        summary = emit_outputs(res, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["diagnostics_injection.csv", "summary_injection.txt"]
+        assert summary["mode"] == "injection"
+
 
 class TestMmsSeams:
     """run_mms reads ``runs.diffusion_step`` at each step, and a transfer error leaves it."""
@@ -148,7 +156,7 @@ class TestSpinodalSmall:
         res = run_spinodal(cfg, "conservative", out_dir=str(tmp_path))
         assert res.completed
         assert res.max_abs_drift <= 1e-10
-        summary = emit_outputs(res, cfg, str(tmp_path), "conservative")
+        summary = emit_outputs(res, str(tmp_path))
         assert (tmp_path / "diagnostics_conservative.csv").exists()
         assert summary["completed"] == "true"
         snapshots = [p for p in os.listdir(tmp_path) if p.endswith(".vtk")]
@@ -179,7 +187,7 @@ class TestSpinodalSmall:
         rows = len(res.diagnostics.times)
         assert rows == len(steps) + (where == "snapshot") and 1 < rows < len(full.diagnostics.times)
         assert res.diagnostics.energies == full.diagnostics.energies[:rows]
-        summary = emit_outputs(res, cfg, str(tmp_path), "conservative")
+        summary = emit_outputs(res, str(tmp_path))
         assert summary["completed"] == "false"
 
     def test_energy_evaluated_once_per_field(self, monkeypatch):
@@ -208,7 +216,7 @@ class TestSpinodalSmall:
         )
         res = run_spinodal(cfg, "conservative")
         assert res.newton_iterations > 0
-        emit_outputs(res, cfg, str(tmp_path), "conservative")
+        emit_outputs(res, str(tmp_path))
         lines = (tmp_path / "summary_conservative.txt").read_text().splitlines()
         assert f"newton_iterations={res.newton_iterations}" in lines
         assert not any(line.startswith("wall_marking_s=") for line in lines)
